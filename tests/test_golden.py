@@ -1,0 +1,107 @@
+"""Byte-level pin of `lowpansim run` output across commits.
+
+Every run file and aggregate.json of each strategy on the packaged
+topology is hashed, under the default lossy settings and under the
+lossless-oracle settings (unbounded buffers, lossless links, serialized
+sends).  test_a11 only compares two runs of one commit; this test also
+catches drift between commits.  A change that alters behaviour on purpose
+replaces the digests below with the ones the failure message prints and
+says why.
+"""
+
+import hashlib
+import json
+from importlib import resources
+
+import pytest
+
+from lowpansim.cli import main
+
+TOPOLOGY = resources.files("lowpansim.data") / "topology50.txt"
+COMMON = {"version": 1, "topology": "topology50.txt", "payloads": [80, 656],
+          "seeds": [1, 2], "packets_per_source": 3}
+SETTINGS = {
+    "lossy": {"interval_us": [5_000_000, 10_000_000]},
+    "lossless": {
+        "interval_us": [2_000_000, 3_000_000],
+        "force_link_pdr": 1.0, "serialize_sends": True,
+        "rbuf_entries": None, "sink_rbuf_entries": None, "vrb_entries": None,
+        "mac": {"max_retransmissions": 10_000, "queue_capacity": None,
+                "min_be": 6, "max_be": 8},
+        "stack": {"frag_buffer_slots": None, "arena_bytes": None},
+    },
+}
+
+GOLDEN = {
+    ("lossless", "HWR"): {
+        "aggregate.json":
+            "4641b677a0b156ad17762617a93229f147b6a39e0ba1ce779696a23f7eac6e89",
+        "run-00.txt":
+            "ea9a8f3afa06fd2dfd0d3e91c9734d75b9d93233816519f9fd00eb0f67e3cdc8",
+        "run-01.txt":
+            "54b36e58ebad9f0ed1c060c5ad7d0e334084dcfd8bd0af569b5baaa95bc07402",
+    },
+    ("lossless", "FF"): {
+        "aggregate.json":
+            "5c739675651dd3205fd84701e138eae3d5d6b55be30e11d47e589050f1534698",
+        "run-00.txt":
+            "4430bd1def0cf59b2ffdc20f99673fee3cc5154d95aabdc3f6f95fc993bdd10a",
+        "run-01.txt":
+            "03ddcc8818d545eeca6b1bda6fc99ffd3a637ca696609710e70ba1b1934d80bd",
+    },
+    ("lossless", "FF_QUEUED"): {
+        "aggregate.json":
+            "169cb9a04f86107f27682c3235f4a286e359434b291883865aed783e3f0fb0a1",
+        "run-00.txt":
+            "1cdb61ed40124c6339e31ceafcca93da47f3d9f708d11304f3ce802755432b3c",
+        "run-01.txt":
+            "a84e2a9c6ab2cfec5ae860e88b0dd0f0ca7969c5509001cf458498db8500bb3d",
+    },
+    ("lossy", "HWR"): {
+        "aggregate.json":
+            "1ea2fd225b26c655975bbc09f7ad66df9f5d9d8eac6e30011bf07d08ad55220b",
+        "run-00.txt":
+            "8bf1dd6e8a48e4c6677aa6f80dfbd0b488ec9162aa4b6f1b79ee550c5ab542fb",
+        "run-01.txt":
+            "8aa32e59fac56659de95dc89972eab9d84744049f3bfa7829ddc84254e737072",
+    },
+    ("lossy", "FF"): {
+        "aggregate.json":
+            "7624c64a194d5cc974c6bf3a23fcf0b5f420fa5ffbde6636107d02faeaf60a72",
+        "run-00.txt":
+            "c7396e31051fc9a13df44831d3c43a48fd4b022e684630a0163b30d93e73f249",
+        "run-01.txt":
+            "47a8004ca0ec593e96bdfdb9c4859e706f0aaec74496d215f5dc865a42939e74",
+    },
+    ("lossy", "FF_QUEUED"): {
+        "aggregate.json":
+            "20e49e623cd2f36d720c0a2506cb3f0d8373839124da572b071f33d2f98ac04c",
+        "run-00.txt":
+            "9b2e57cd2c5bdfaea909177e8f4c7de27d60b194887b05d97cb9ece59b796258",
+        "run-01.txt":
+            "ec0b2551707ee8325a2ff628ba6764d1b589b4e777702b9263fd30bcf31d7557",
+    },
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+@pytest.mark.parametrize("strategy", ("HWR", "FF", "FF_QUEUED"))
+def test_run_files_match_golden_digests(tmp_path, capsys, setting, strategy):
+    (tmp_path / "topology50.txt").write_bytes(TOPOLOGY.read_bytes())
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(dict(COMMON, strategy=strategy,
+                                        **SETTINGS[setting])))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(scenario), "--out", str(out)])
+    capsys.readouterr()
+
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+    expected = GOLDEN.get((setting, strategy), {})
+    if got != expected:
+        pytest.fail("\n".join(
+            ["run output of %s/%s changed:" % (setting, strategy)]
+            + ["  %s: expected %s, got %s"
+               % (name, expected.get(name), got.get(name))
+               for name in sorted(set(got) | set(expected))]))
+    assert code == 0
