@@ -93,48 +93,61 @@ class _Entry:
         return spans
 
 
-class ReassemblyBuffer:
-    """Per-node fragment reassembly with timeout and arena accounting."""
+class DeadlineTable:
+    """Bounded dict of entries that expire strictly after their `deadline`.
 
-    def __init__(self, capacity, timeout_us, counters, arena=None,
-                 on_drop=None):
+    Subclasses define `_expire(entry, now)`, which removes one expired entry
+    and returns what `expire_due` reports for it.
+    """
+
+    def __init__(self, capacity, counters, on_drop=None, arena=None):
         self.capacity = capacity            # None = unbounded entries
-        self.timeout_us = timeout_us
-        self.arena = arena
         self.counters = counters
         self.on_drop = on_drop or (lambda dgram_id, cause, now: None)
+        self.arena = arena
         self.entries = {}
 
     @property
     def live_entries(self):
         return len(self.entries)
 
-    def _discard(self, entry):
-        del self.entries[entry.key]
-        if self.arena is not None and entry.received_bytes:
-            self.arena.free(entry.received_bytes)
+    def full(self):
+        return self.capacity is not None and len(self.entries) >= self.capacity
 
     def expire_due(self, now):
-        """Evict entries past their deadline (strictly); returns evictions.
-
-        Each eviction is (key, seen_first_fragment).
-        """
+        """Evict entries past their deadline (strictly); returns the
+        `_expire` result of each."""
         expired = [e for e in self.entries.values() if now > e.deadline]
-        out = []
-        for entry in expired:
-            seen_first = bool(entry.intervals) and entry.intervals[0][0] == 0
-            self._discard(entry)
-            self.counters.rbuf_timeout += 1
-            if not seen_first:
-                self.counters.rbuf_timeout_no_first += 1
-            self.on_drop(entry.dgram_id, "rbuf_timeout", now)
-            out.append((entry.key, seen_first))
-        return out
+        return [self._expire(e, now) for e in expired]
 
     def next_deadline(self):
         if not self.entries:
             return None
         return min(e.deadline for e in self.entries.values())
+
+
+class ReassemblyBuffer(DeadlineTable):
+    """Per-node fragment reassembly with timeout and arena accounting;
+    an expiry reports (key, seen_first_fragment)."""
+
+    def __init__(self, capacity, timeout_us, counters, arena=None,
+                 on_drop=None):
+        super().__init__(capacity, counters, on_drop, arena)
+        self.timeout_us = timeout_us
+
+    def _discard(self, entry):
+        del self.entries[entry.key]
+        if self.arena is not None and entry.received_bytes:
+            self.arena.free(entry.received_bytes)
+
+    def _expire(self, entry, now):
+        seen_first = bool(entry.intervals) and entry.intervals[0][0] == 0
+        self._discard(entry)
+        self.counters.rbuf_timeout += 1
+        if not seen_first:
+            self.counters.rbuf_timeout_no_first += 1
+        self.on_drop(entry.dgram_id, "rbuf_timeout", now)
+        return (entry.key, seen_first)
 
     def insert(self, key, offset, payload, now, dgram_id):
         """Insert a fragment; returns (status, value).
@@ -145,7 +158,7 @@ class ReassemblyBuffer:
         self.expire_due(now)
         entry = self.entries.get(key)
         if entry is None:
-            if self.capacity is not None and len(self.entries) >= self.capacity:
+            if self.full():
                 self.counters.rbuf_full += 1
                 self.on_drop(dgram_id, "rbuf_full", now)
                 return ("dropped", "rbuf_full")

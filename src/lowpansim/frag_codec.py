@@ -266,7 +266,9 @@ def refragment_first(first_frag, new_comp, sdu):
 
 
 def reassemble(fragments):
-    """Rebuild a datagram from fragments covering it exactly once."""
+    """Rebuild a datagram from fragments covering it exactly once.  The
+    simulator never calls this: it is the oracle test_frag_codec checks the
+    fragmenters against, independent of the reassembly buffer."""
     if len(fragments) == 1 and fragments[0].header is None:
         return fragments[0].payload
     size = fragments[0].header.datagram_size

@@ -12,11 +12,11 @@ import json
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from functools import partial
 from pathlib import Path
 
-from .buffers import DatagramKey  # noqa: F401  (re-export convenience)
 from .frag_codec import CompressionHeader, fragment_count
 from .link_mac import MacParams
 from .metrics import COUNTER_FIELDS
@@ -35,127 +35,175 @@ STUDY_PAYLOADS = tuple(p for p, _ in FRAG_COUNT_TABLE)
 
 UNBOUNDED_ENTRIES = 1 << 30      # stands in for "no limit" table sizes
 
-_SCENARIO_KEYS = {
-    "version", "topology", "strategy", "payloads", "interval_us",
-    "packets_per_source", "seeds", "rbuf_entries", "sink_rbuf_entries",
-    "vrb_entries", "force_link_pdr", "check_paths", "serialize_sends",
-    "mac", "stack",
-}
-
 
 class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+# Validators.  Each takes a scenario-file key and its JSON value and returns
+# the field value, or raises ScenarioError.
+
+_NO_NULL = object()
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(lo, null=_NO_NULL):
+    """An integer >= lo; JSON null maps to `null` when one is given."""
+    what = "an integer >= %d%s" % (lo, "" if null is _NO_NULL else " or null")
+
+    def check(name, value):
+        if value is None and null is not _NO_NULL:
+            return null
+        if not _is_int(value) or value < lo:
+            raise ScenarioError("%s must be %s" % (name, what))
+        return value
+    return check
+
+
+def _int_list(name, value, allowed=None):
+    if (not isinstance(value, (list, tuple)) or not value
+            or not all(_is_int(v) for v in value)
+            or (allowed is not None and not set(value) <= set(allowed))):
+        raise ScenarioError("%s must be a non-empty list of integers%s"
+                            % (name, "" if allowed is None
+                               else " from %s" % list(allowed)))
+    return tuple(value)
+
+
+def _text(name, value):
+    if not isinstance(value, str):
+        raise ScenarioError("%s must be a string" % name)
+    return value
+
+
+def _strategy(name, value):
+    if not isinstance(value, str) or value not in STRATEGIES:
+        raise ScenarioError("unknown %s %r" % (name, value))
+    return value
+
+
+def _interval(name, value):
+    lo_hi = _int_list(name, value)
+    if len(lo_hi) != 2 or not 0 < lo_hi[0] <= lo_hi[1]:
+        raise ScenarioError("%s must be [lo, hi] with 0 < lo <= hi" % name)
+    return lo_hi
+
+
+def _pdr(name, value):
+    if value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value <= 1.0):
+        raise ScenarioError("%s must be a number in (0, 1] or null" % name)
+    return float(value)
+
+
+def _flag(name, value):
+    if not isinstance(value, bool):
+        raise ScenarioError("%s must be true or false" % name)
+    return value
+
+
+def _params(cls, **checks):
+    """An object overriding fields of `cls`, one validator per field."""
+    assert set(checks) == {f.name for f in fields(cls)}
+
+    def check(name, value):
+        if not isinstance(value, dict):
+            raise ScenarioError("%s must be an object" % name)
+        bad = set(value) - set(checks)
+        if bad:
+            raise ScenarioError("unknown %s parameter(s): %s"
+                                % (name, ", ".join(sorted(bad))))
+        return replace(cls(), **{k: checks[k]("%s.%s" % (name, k), v)
+                                 for k, v in value.items()})
+    return check
+
+
+_ENTRIES = _int(1, null=UNBOUNDED_ENTRIES)
+
+
+def _key(check, default=MISSING):
+    """A Scenario field read from the scenario-file key of its name."""
+    return field(default=default, metadata={"check": check})
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
 class Scenario:
-    topology: str
-    strategy: str
-    payloads: tuple
-    interval_us: tuple
-    seeds: tuple
-    packets_per_source: int = 100
-    rbuf_entries: int = 1            # per node; the sink gets its own size
-    sink_rbuf_entries: int = 16
-    vrb_entries: int = 16
-    force_link_pdr: object = None
-    check_paths: bool = True
+    topology: str = _key(_text)
+    strategy: str = _key(_strategy)
+    payloads: tuple = _key(partial(_int_list, allowed=STUDY_PAYLOADS))
+    interval_us: tuple = _key(_interval)
+    packets_per_source: int = _key(_int(1), 100)
+    seeds: tuple = _key(_int_list)
+    rbuf_entries: int = _key(_ENTRIES, 1)    # per node; the sink has its own
+    sink_rbuf_entries: int = _key(_ENTRIES, 16)
+    vrb_entries: int = _key(_ENTRIES, 16)
+    force_link_pdr: object = _key(_pdr, None)
+    check_paths: bool = _key(_flag, True)
     # One send at a time network-wide instead of concurrent per-source
     # schedules.  With intervals longer than a train's transit time this
     # removes channel contention entirely, which is what the lossless
     # conservation oracle needs: hidden senders on a loss-free channel can
     # otherwise phase-lock and collide indefinitely.
-    serialize_sends: bool = False
-    mac: MacParams = MacParams()
-    stack: StackParams = StackParams()
+    serialize_sends: bool = _key(_flag, False)
+    mac: MacParams = _key(_params(
+        MacParams, max_retransmissions=_int(0), min_be=_int(0),
+        max_be=_int(0), max_csma_backoffs=_int(0), ack_timeout_us=_int(0),
+        queue_retry_us=_int(0), queue_capacity=_int(0, null=None),
+        l2_overhead=_int(0), rx_handover_us=_int(0)), MacParams())
+    stack: StackParams = _key(_params(
+        StackParams, comp_header_bytes=_int(0),
+        reassembly_timeout_us=_int(0), vrb_lifetime_us=_int(0),
+        proc_delay_us=_int(0),
+        frag_buffer_slots=_int(0, null=UNBOUNDED_ENTRIES),
+        arena_bytes=_int(0, null=None)), StackParams())
     base_dir: Path = Path(".")
 
     def topology_path(self):
         return self.base_dir / self.topology
 
 
-def _build_params(cls, over, what):
-    allowed = {f.name for f in fields(cls)}
-    bad = set(over) - allowed
-    if bad:
-        raise ScenarioError("unknown %s parameter(s): %s"
-                            % (what, ", ".join(sorted(bad))))
-    return replace(cls(), **over)
+# The scenario-file keys besides "version", in run-file order.
+_KEY_FIELDS = tuple(f for f in fields(Scenario) if "check" in f.metadata)
 
 
-def _entries(value, what):
-    if value is None:
-        return UNBOUNDED_ENTRIES
-    if not isinstance(value, int) or value < 1:
-        raise ScenarioError("%s must be a positive integer or null" % what)
-    return value
+def _frag_count(scenario, payload):
+    return fragment_count(payload + HEADER_BYTES,
+                          CompressionHeader(scenario.stack.comp_header_bytes),
+                          scenario.mac.sdu,
+                          STRATEGIES[scenario.strategy].policy)
 
 
 def scenario_from_dict(cfg, base_dir=Path(".")):
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario must be a JSON object")
-    unknown = set(cfg) - _SCENARIO_KEYS
+    unknown = set(cfg) - {"version"} - {f.name for f in _KEY_FIELDS}
     if unknown:
         raise ScenarioError("unknown scenario key(s): %s"
                             % ", ".join(sorted(unknown)))
     if cfg.get("version") != 1:
         raise ScenarioError("unsupported scenario version %r"
                             % cfg.get("version"))
-    for key in ("topology", "strategy", "payloads", "interval_us", "seeds"):
-        if key not in cfg:
-            raise ScenarioError("scenario is missing %r" % key)
+    values = {}
+    for f in _KEY_FIELDS:
+        if f.name in cfg:
+            values[f.name] = f.metadata["check"](f.name, cfg[f.name])
+        elif f.default is MISSING:
+            raise ScenarioError("scenario is missing %r" % f.name)
+    scenario = Scenario(base_dir=Path(base_dir), **values)
 
-    strategy = cfg["strategy"]
-    if strategy not in STRATEGIES:
-        raise ScenarioError("unknown strategy %r" % strategy)
-
-    payloads = tuple(cfg["payloads"])
-    if not payloads:
-        raise ScenarioError("payloads must not be empty")
-    bad = [p for p in payloads if p not in STUDY_PAYLOADS]
-    if bad:
-        raise ScenarioError("payload(s) %s are not in the published set %s"
-                            % (bad, list(STUDY_PAYLOADS)))
-
-    interval = tuple(cfg["interval_us"])
-    if (len(interval) != 2 or not all(isinstance(v, int) for v in interval)
-            or not 0 < interval[0] <= interval[1]):
-        raise ScenarioError("interval_us must be [lo, hi] with 0 < lo <= hi")
-
-    seeds = tuple(cfg["seeds"])
-    if not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ScenarioError("seeds must be a non-empty list of integers")
-
-    packets = cfg.get("packets_per_source", 100)
-    if not isinstance(packets, int) or packets < 1:
-        raise ScenarioError("packets_per_source must be a positive integer")
-
-    force = cfg.get("force_link_pdr")
-    if force is not None and not 0.0 < float(force) <= 1.0:
-        raise ScenarioError("force_link_pdr must be in (0, 1] or null")
-
-    stack_over = dict(cfg.get("stack", {}))
-    if stack_over.get("frag_buffer_slots", 0) is None:
-        stack_over["frag_buffer_slots"] = UNBOUNDED_ENTRIES
-
-    scenario = Scenario(
-        topology=str(cfg["topology"]),
-        strategy=strategy,
-        payloads=payloads,
-        interval_us=interval,
-        seeds=seeds,
-        packets_per_source=packets,
-        rbuf_entries=_entries(cfg.get("rbuf_entries", 1), "rbuf_entries"),
-        sink_rbuf_entries=_entries(cfg.get("sink_rbuf_entries", 16),
-                                   "sink_rbuf_entries"),
-        vrb_entries=_entries(cfg.get("vrb_entries", 16), "vrb_entries"),
-        force_link_pdr=None if force is None else float(force),
-        check_paths=bool(cfg.get("check_paths", True)),
-        serialize_sends=bool(cfg.get("serialize_sends", False)),
-        mac=_build_params(MacParams, cfg.get("mac", {}), "mac"),
-        stack=_build_params(StackParams, stack_over, "stack"),
-        base_dir=Path(base_dir),
-    )
+    if scenario.mac.min_be > scenario.mac.max_be:
+        raise ScenarioError("mac.min_be must not exceed mac.max_be")
+    try:
+        for payload in scenario.payloads:
+            _frag_count(scenario, payload)
+    except ValueError as err:            # the codec's own limits
+        raise ScenarioError("stack.comp_header_bytes and mac.l2_overhead "
+                            "do not fit a fragment: %s" % err)
     if not scenario.topology_path().is_file():
         raise ScenarioError("topology file not found: %s"
                             % scenario.topology_path())
@@ -171,28 +219,29 @@ def load_scenario(path):
     return scenario_from_dict(cfg, base_dir=path.parent)
 
 
-def _params_key(params):
-    return json.dumps({f.name: getattr(params, f.name)
-                       for f in fields(type(params))}, sort_keys=True)
+def _plain(value):
+    """A field value as JSON data; parameter records become JSON text."""
+    if is_dataclass(value):
+        return json.dumps(asdict(value), sort_keys=True)
+    return value
+
+
+def _render_value(value):
+    """A _plain field value as it appears in the [scenario] block."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
 
 
 def scenario_fingerprint(scenario, topology_bytes):
-    ident = {
-        "strategy": scenario.strategy,
-        "payloads": list(scenario.payloads),
-        "interval_us": list(scenario.interval_us),
-        "packets_per_source": scenario.packets_per_source,
-        "seeds": list(scenario.seeds),
-        "rbuf_entries": scenario.rbuf_entries,
-        "sink_rbuf_entries": scenario.sink_rbuf_entries,
-        "vrb_entries": scenario.vrb_entries,
-        "force_link_pdr": scenario.force_link_pdr,
-        "check_paths": scenario.check_paths,
-        "serialize_sends": scenario.serialize_sends,
-        "mac": _params_key(scenario.mac),
-        "stack": _params_key(scenario.stack),
-        "topology_sha256": hashlib.sha256(topology_bytes).hexdigest(),
-    }
+    # The topology enters by content, not by file name.
+    ident = {f.name: _plain(getattr(scenario, f.name)) for f in _KEY_FIELDS
+             if f.name != "topology"}
+    ident["topology_sha256"] = hashlib.sha256(topology_bytes).hexdigest()
     blob = json.dumps(ident, sort_keys=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()
 
@@ -200,7 +249,7 @@ def scenario_fingerprint(scenario, topology_bytes):
 def frag_table_check():
     """Recompute the payload -> fragment count mapping; report mismatches."""
     comp = CompressionHeader(StackParams().comp_header_bytes)
-    sdu = 127 - MacParams().l2_overhead
+    sdu = MacParams().sdu
     rows, mismatches = [], []
     for payload, expected in FRAG_COUNT_TABLE:
         size = payload + HEADER_BYTES
@@ -269,12 +318,7 @@ def _simulate(scenario, topo, seed, payload):
     sim = Simulator(seed=seed * 1000003 + payload)
     medium = Medium(sim)
     senders = set(topo.senders())
-    policy = "fill_first" if scenario.strategy == "HWR" else "minimal_first"
-    comp = CompressionHeader(scenario.stack.comp_header_bytes)
-    sdu = 127 - scenario.mac.l2_overhead
-    result = _PayloadRun(payload,
-                         fragment_count(payload + HEADER_BYTES, comp, sdu,
-                                        policy))
+    result = _PayloadRun(payload, _frag_count(scenario, payload))
     recs = {}
     violations = result.violations
 
@@ -333,26 +377,21 @@ def _simulate(scenario, topo, seed, payload):
         recs[dgram_id].sent_at = sim.now
         node.app_send(payload, dgram_id)
 
+    # Datagram ids and interval draws follow the send plan's order.  A
+    # serialized plan goes round-robin on one clock, one datagram in flight
+    # at a time (given lo exceeds a train's transit time); otherwise each
+    # sender runs its own clock.
     lo, hi = scenario.interval_us
-    next_id = 0
+    count, order = scenario.packets_per_source, sorted(senders)
     if scenario.serialize_sends:
-        # Round-robin, one datagram in flight at a time (given lo exceeds a
-        # train's transit time).
-        t = 0
-        for _ in range(scenario.packets_per_source):
-            for nid in sorted(senders):
-                t += sim.rng.randint(lo, hi)
-                next_id += 1
-                recs[next_id] = _Rec(nid)
-                sim.at(t, partial(send, nodes[nid], next_id))
+        plan = [(nid, None) for _ in range(count) for nid in order]
     else:
-        for nid in sorted(senders):
-            t = 0
-            for _ in range(scenario.packets_per_source):
-                t += sim.rng.randint(lo, hi)
-                next_id += 1
-                recs[next_id] = _Rec(nid)
-                sim.at(t, partial(send, nodes[nid], next_id))
+        plan = [(nid, nid) for nid in order for _ in range(count)]
+    clocks = {}
+    for dgram_id, (nid, clock) in enumerate(plan, 1):
+        t = clocks[clock] = clocks.get(clock, 0) + sim.rng.randint(lo, hi)
+        recs[dgram_id] = _Rec(nid)
+        sim.at(t, partial(send, nodes[nid], dgram_id))
 
     sim.run()
 
@@ -404,29 +443,14 @@ def run_one(scenario, topo, seed):
 
 def _render_run(scenario, fingerprint, topo_sha, run_index, seed, results,
                 hop_distance):
-    out = ["metrics v1", "[scenario]"]
-    kv = [
-        ("fingerprint", fingerprint),
-        ("topology", scenario.topology),
-        ("topology_sha256", topo_sha),
-        ("strategy", scenario.strategy),
-        ("payloads", ",".join(map(str, scenario.payloads))),
-        ("interval_us", "%d,%d" % scenario.interval_us),
-        ("packets_per_source", scenario.packets_per_source),
-        ("seeds", ",".join(map(str, scenario.seeds))),
-        ("run_index", run_index),
-        ("seed", seed),
-        ("rbuf_entries", scenario.rbuf_entries),
-        ("sink_rbuf_entries", scenario.sink_rbuf_entries),
-        ("vrb_entries", scenario.vrb_entries),
-        ("force_link_pdr", "none" if scenario.force_link_pdr is None
-         else repr(scenario.force_link_pdr)),
-        ("check_paths", str(scenario.check_paths).lower()),
-        ("serialize_sends", str(scenario.serialize_sends).lower()),
-        ("mac", _params_key(scenario.mac)),
-        ("stack", _params_key(scenario.stack)),
-    ]
-    out += ["%s\t%s" % pair for pair in kv]
+    out = ["metrics v1", "[scenario]", "fingerprint\t" + fingerprint]
+    # Facts of this file follow the key they qualify.
+    after = {"topology": [("topology_sha256", topo_sha)],
+             "seeds": [("run_index", run_index), ("seed", seed)]}
+    for f in _KEY_FIELDS:
+        value = _plain(getattr(scenario, f.name))
+        out.append("%s\t%s" % (f.name, _render_value(value)))
+        out += ["%s\t%s" % pair for pair in after.get(f.name, ())]
 
     out.append("[summary]")
     out.append("payload\tfrag_count\tsent\tdelivered\tpdr")

@@ -54,6 +54,11 @@ class MacParams:
     # 4 ms for typical fragments: airtime plus roughly this handover time.
     rx_handover_us: int = 1000
 
+    @property
+    def sdu(self):
+        """Link SDU: frame bytes left for 6LoWPAN content."""
+        return MAX_FRAME_BYTES - self.l2_overhead
+
 
 @dataclass(slots=True)
 class Frame:

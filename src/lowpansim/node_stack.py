@@ -25,14 +25,29 @@ from .buffers import (DatagramKey, FragmentationBuffer, PacketArena,
                       ReassemblyBuffer)
 from .frag_codec import (CompressionHeader, Frag1Header, FragNHeader,
                          Fragment, fragment_datagram, refragment_first)
-from .link_mac import MAX_FRAME_BYTES, Frame, Mac
+from .link_mac import Frame, Mac
 from .metrics import NodeCounters
 from .vrb import TagAllocator, VrbTable
 
 HEADER_BYTES = 48    # 40-byte IPv6 header region + 8-byte UDP header
 
 ROLES = ("source", "forwarder", "sink")
-STRATEGIES = ("HWR", "FF", "FF_QUEUED")
+
+
+@dataclass(frozen=True, slots=True)
+class Strategy:
+    """Everything that differs between the forwarding strategies."""
+
+    policy: str           # fragmentation policy of datagrams a node fragments
+    reassemble: bool      # forwarders reassemble every datagram
+    queue: bool           # VRB fragments wait until the whole datagram passed
+
+
+STRATEGIES = {
+    "HWR": Strategy("fill_first", reassemble=True, queue=False),
+    "FF": Strategy("minimal_first", reassemble=False, queue=False),
+    "FF_QUEUED": Strategy("minimal_first", reassemble=False, queue=True),
+}
 
 
 def build_datagram(src, dgram_id, payload_size):
@@ -101,10 +116,9 @@ class Node:
         self.mac = Mac(config.id, sim, medium, mac_params, self.counters,
                        arena=self.arena, on_deliver=self._on_deliver,
                        on_frame_done=self._on_frame_done)
-        self.sdu = MAX_FRAME_BYTES - mac_params.l2_overhead
+        self.sdu = mac_params.sdu
         self.comp = CompressionHeader(self.stack.comp_header_bytes)
-        self.policy = ("fill_first" if config.strategy == "HWR"
-                       else "minimal_first")
+        self.strategy = STRATEGIES[config.strategy]
         self.tags = TagAllocator()
         self.rbuf = ReassemblyBuffer(config.rbuf_entries,
                                      self.stack.reassembly_timeout_us,
@@ -114,8 +128,7 @@ class Node:
                             self.counters, self.tags,
                             on_drop=self._note_drop, arena=self.arena)
         self.frag_buf = FragmentationBuffer(self.stack.frag_buffer_slots)
-        self._rbuf_timer_at = None
-        self._vrb_timer_at = None
+        self._timer_at = {}              # table -> time of its expiry event
 
     # -- sending --------------------------------------------------------
 
@@ -135,7 +148,7 @@ class Node:
             return False
         job.tag = self.tags.acquire(next_hop)
         frags = fragment_datagram(datagram, self.comp, job.tag, self.sdu,
-                                  self.policy)
+                                  self.strategy.policy)
         job.remaining = len(frags)
         me = self.config.id
         for frag in frags:
@@ -176,7 +189,7 @@ class Node:
             return
         key = DatagramKey(frame.src, frame.dst, header.datagram_size,
                           header.datagram_tag)
-        if self.config.role == "sink" or self.config.strategy == "HWR":
+        if self.config.role == "sink" or self.strategy.reassemble:
             self._reassemble_step(key, frag, frame.dgram_id, now)
         elif isinstance(header, Frag1Header):
             self._ff_first(key, frag, frame.dgram_id, now)
@@ -198,7 +211,7 @@ class Node:
                 self.counters.datagrams_forwarded += 1
                 self._send_fragments(value, dgram_id)
         elif status == "stored":
-            self._arm_rbuf_timer()
+            self._arm_timer(self.rbuf)
 
     # -- fragment forwarding ---------------------------------------------
 
@@ -214,7 +227,7 @@ class Node:
         if entry is None:                # table full: reassemble instead
             self._reassemble_step(key, frag, dgram_id, now)
             return
-        self._arm_vrb_timer()
+        self._arm_timer(self.vrb)
         entry.covered_bytes = len(frag.payload)
         outs = []
         for out in refragment_first(frag, self.comp, self.sdu):
@@ -225,7 +238,7 @@ class Node:
                 h = FragNHeader(h.datagram_size, entry.out_tag,
                                 h.offset_units)
             outs.append(Fragment(h, out.payload, out.comp_size))
-        if self.config.strategy == "FF":
+        if not self.strategy.queue:
             self.counters.datagrams_forwarded += 1
         self._vrb_emit(entry, outs, dgram_id, now)
 
@@ -246,7 +259,7 @@ class Node:
         """Send right away (FF) or park in the entry queue (FF_QUEUED)."""
         me = self.config.id
         frames = [Frame(me, entry.next_hop, f, dgram_id, None) for f in frags]
-        if self.config.strategy == "FF":
+        if not self.strategy.queue:
             for fr in frames:
                 self.mac.send(fr)
             return True
@@ -275,32 +288,18 @@ class Node:
 
     # -- buffer expiry ----------------------------------------------------
 
-    def _arm_rbuf_timer(self):
-        deadline = self.rbuf.next_deadline()
+    def _arm_timer(self, table):
+        deadline = table.next_deadline()
         if deadline is None:
             return
         t = deadline + 1                 # expiry is strictly past-deadline
-        if self._rbuf_timer_at is not None and self._rbuf_timer_at <= t:
+        armed = self._timer_at.get(table)
+        if armed is not None and armed <= t:
             return
-        self._rbuf_timer_at = t
-        self.sim.at(t, self._rbuf_timer_fire)
+        self._timer_at[table] = t
+        self.sim.at(t, partial(self._timer_fire, table))
 
-    def _rbuf_timer_fire(self):
-        self._rbuf_timer_at = None
-        self.rbuf.expire_due(self.sim.now)
-        self._arm_rbuf_timer()
-
-    def _arm_vrb_timer(self):
-        deadline = self.vrb.next_deadline()
-        if deadline is None:
-            return
-        t = deadline + 1
-        if self._vrb_timer_at is not None and self._vrb_timer_at <= t:
-            return
-        self._vrb_timer_at = t
-        self.sim.at(t, self._vrb_timer_fire)
-
-    def _vrb_timer_fire(self):
-        self._vrb_timer_at = None
-        self.vrb.expire_due(self.sim.now)
-        self._arm_vrb_timer()
+    def _timer_fire(self, table):
+        self._timer_at[table] = None
+        table.expire_due(self.sim.now)
+        self._arm_timer(table)

@@ -12,6 +12,8 @@ in use by live entries or live local fragmentation jobs, so no two concurrent
 outgoing streams from one node to one neighbor share a tag.
 """
 
+from .buffers import DeadlineTable
+
 TAG_SPACE = 1 << 16
 
 
@@ -56,22 +58,14 @@ class VrbEntry:
         self.queued_wire_bytes = 0   # arena charge for queued frames
 
 
-class VrbTable:
-    """Bounded table of VRB entries with strict-deadline expiry."""
+class VrbTable(DeadlineTable):
+    """Bounded table of VRB entries; an expiry reports the entry."""
 
     def __init__(self, capacity, lifetime_us, counters, allocator,
                  on_drop=None, arena=None):
-        self.capacity = capacity            # None = unbounded
+        super().__init__(capacity, counters, on_drop, arena)
         self.lifetime_us = lifetime_us
-        self.counters = counters
         self.allocator = allocator
-        self.on_drop = on_drop or (lambda dgram_id, cause, now: None)
-        self.arena = arena                  # charged for queued frames
-        self.entries = {}
-
-    @property
-    def live_entries(self):
-        return len(self.entries)
 
     def _release(self, entry):
         del self.entries[entry.key]
@@ -80,7 +74,7 @@ class VrbTable:
             self.arena.free(entry.queued_wire_bytes)
             entry.queued_wire_bytes = 0
 
-    def _evict(self, entry, now):
+    def _expire(self, entry, now):
         self._release(entry)
         self.counters.vrb_expired += 1
         if entry.queued:
@@ -94,22 +88,12 @@ class VrbTable:
             self._release(entry)
         return entry
 
-    def expire_due(self, now):
-        """Evict entries past their deadline (strictly); returns them."""
-        expired = [e for e in self.entries.values() if now > e.deadline]
-        return [self._evict(e, now) for e in expired]
-
-    def next_deadline(self):
-        if not self.entries:
-            return None
-        return min(e.deadline for e in self.entries.values())
-
     def create(self, key, next_hop, now, dgram_id):
         """New entry with a fresh out_tag, or None when the table is full."""
         self.expire_due(now)
         if key in self.entries:
             raise ValueError("duplicate VRB entry for %r" % (key,))
-        if self.capacity is not None and len(self.entries) >= self.capacity:
+        if self.full():
             self.counters.vrb_full += 1
             return None
         out_tag = self.allocator.acquire(next_hop)
@@ -124,6 +108,6 @@ class VrbTable:
         if entry is None:
             return None
         if now > entry.deadline:
-            self._evict(entry, now)
+            self._expire(entry, now)
             return None
         return entry

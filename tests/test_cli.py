@@ -51,6 +51,15 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--scenario", str(bad),
                  "--out", str(tmp_path / "o")]) == 2
 
+    # A value of the wrong type is a bad input, not a crash.
+    scn = write_scenario(tmp_path, line_topology(3), force_link_pdr="abc")
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(scn),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: force_link_pdr") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
 
 def test_aggregate_refuses_mixed_inputs_via_cli(tmp_path, capsys):
     topo = line_topology(4)

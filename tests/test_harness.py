@@ -3,13 +3,16 @@
 import hashlib
 import json
 import statistics
+from dataclasses import fields
 
 import pytest
 
 from lowpansim.harness import (Scenario, ScenarioError, FRAG_COUNT_TABLE,
-                               aggregate_runs, load_scenario, run_experiment,
-                               frag_table_check)
-from lowpansim.link_mac import CCA_DUR_US, airtime_us
+                               UNBOUNDED_ENTRIES, _render_run, aggregate_runs,
+                               load_scenario, run_experiment,
+                               frag_table_check, scenario_fingerprint)
+from lowpansim.link_mac import CCA_DUR_US, MacParams, airtime_us
+from lowpansim.node_stack import StackParams
 from lowpansim.topology import Topology, link_pdr, save_topology
 
 PROC_US = 2000
@@ -57,13 +60,32 @@ def test_scenario_validation(tmp_path):
     good = write_scenario(tmp_path, topo)
     scn = load_scenario(good)
     assert scn.strategy == "HWR" and scn.seeds == (1,)
+    scn = load_scenario(write_scenario(
+        tmp_path, topo, name="nulls.json", seeds=[-3, 0], rbuf_entries=None,
+        mac={"queue_capacity": None},
+        stack={"frag_buffer_slots": None, "arena_bytes": None}))
+    assert scn.seeds == (-3, 0) and scn.rbuf_entries == UNBOUNDED_ENTRIES
+    assert scn.mac.queue_capacity is None and scn.stack.arena_bytes is None
+    assert scn.stack.frag_buffer_slots == UNBOUNDED_ENTRIES
 
     for bad in (
         {"strategy": "FLOOD"},
         {"payloads": [81]},
         {"payloads": []},
+        {"payloads": 80},
         {"interval_us": [5, 2]},
+        {"interval_us": 5},
         {"seeds": []},
+        {"seeds": [True]},
+        {"packets_per_source": True},
+        {"rbuf_entries": True},
+        {"force_link_pdr": "abc"},
+        {"check_paths": "no"},
+        {"mac": {"min_be": "3"}},
+        {"mac": {"min_be": 3, "max_be": 1}},
+        {"mac": {"l2_overhead": 200}},
+        {"stack": {"proc_delay_us": -5}},
+        {"stack": {"comp_header_bytes": 41}},
         {"version": 2},
         {"frobnicate": 1},
         {"topology": "missing.txt"},
@@ -71,6 +93,36 @@ def test_scenario_validation(tmp_path):
         path = write_scenario(tmp_path, topo, name="bad.json", **bad)
         with pytest.raises(ScenarioError):
             load_scenario(path)
+
+
+def test_every_scenario_key_changes_fingerprint_and_run_file(tmp_path):
+    save_topology(line_topology(5), tmp_path / "net5.txt")
+    variants = {
+        "topology": "net5.txt", "strategy": "FF", "payloads": [176],
+        "interval_us": [1000000, 3000000], "packets_per_source": 3,
+        "seeds": [2], "rbuf_entries": 2, "sink_rbuf_entries": None,
+        "vrb_entries": 3, "force_link_pdr": 0.5, "check_paths": False,
+        "serialize_sends": True, "mac": {"min_be": 2},
+        "stack": {"proc_delay_us": 1000},
+    }
+    assert set(variants) == {f.name for f in fields(Scenario)} - {"base_dir"}
+    changes = list(variants.items())
+    for key, params in (("mac", MacParams), ("stack", StackParams)):
+        changes += [(key, {f.name: f.default + 1}) for f in fields(params)]
+
+    def identity(**over):
+        scn = load_scenario(write_scenario(tmp_path, line_topology(4), **over))
+        topo = scn.topology_path().read_bytes()
+        fingerprint = scenario_fingerprint(scn, topo)
+        text = _render_run(scn, fingerprint, hashlib.sha256(topo).hexdigest(),
+                           0, 1, [], {})
+        return fingerprint, text[:text.index("[summary]")]
+
+    base = identity()
+    for key, value in changes:
+        fingerprint, block = identity(**{key: value})
+        assert fingerprint != base[0], (key, value)
+        assert block != base[1], (key, value)
 
 
 def test_lossless_line_exact_latency(tmp_path):
