@@ -14,7 +14,6 @@ import statistics
 from collections import Counter
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
-from functools import partial
 from pathlib import Path
 
 from .frag_codec import CompressionHeader, fragment_count
@@ -71,6 +70,13 @@ def _int_list(name, value, allowed=None):
                             % (name, "" if allowed is None
                                else " from %s" % list(allowed)))
     return tuple(value)
+
+
+def _payloads(name, value):
+    payloads = _int_list(name, value, allowed=STUDY_PAYLOADS)
+    if len(set(payloads)) != len(payloads):
+        raise ScenarioError("%s must not list a size twice" % name)
+    return payloads
 
 
 def _text(name, value):
@@ -135,7 +141,7 @@ def _key(check, default=MISSING):
 class Scenario:
     topology: str = _key(_text)
     strategy: str = _key(_strategy)
-    payloads: tuple = _key(partial(_int_list, allowed=STUDY_PAYLOADS))
+    payloads: tuple = _key(_payloads)
     interval_us: tuple = _key(_interval)
     packets_per_source: int = _key(_int(1), 100)
     seeds: tuple = _key(_int_list)
@@ -185,7 +191,7 @@ def scenario_from_dict(cfg, base_dir=Path(".")):
     if unknown:
         raise ScenarioError("unknown scenario key(s): %s"
                             % ", ".join(sorted(unknown)))
-    if cfg.get("version") != 1:
+    if not _is_int(cfg.get("version")) or cfg["version"] != 1:
         raise ScenarioError("unsupported scenario version %r"
                             % cfg.get("version"))
     values = {}
@@ -317,7 +323,6 @@ def _simulate(scenario, topo, seed, payload):
     of one payload size; runs until the event queue drains."""
     sim = Simulator(seed=seed * 1000003 + payload)
     medium = Medium(sim)
-    senders = set(topo.senders())
     result = _PayloadRun(payload, _frag_count(scenario, payload))
     recs = {}
     violations = result.violations
@@ -349,19 +354,15 @@ def _simulate(scenario, topo, seed, payload):
 
     nodes = {}
     for nid in topo.members:
-        if nid == topo.sink:
-            role, rbuf = "sink", scenario.sink_rbuf_entries
-        else:
-            role = "source" if nid in senders else "forwarder"
-            rbuf = scenario.rbuf_entries
-        cfg = NodeConfig(id=nid, role=role,
-                         route_next_hop=topo.routes.get(nid),
+        sink = nid == topo.sink
+        cfg = NodeConfig(id=nid, route_next_hop=topo.routes.get(nid),
                          strategy=scenario.strategy,
-                         rbuf_entries=rbuf,
+                         rbuf_entries=scenario.sink_rbuf_entries if sink
+                         else scenario.rbuf_entries,
                          vrb_entries=scenario.vrb_entries)
         nodes[nid] = Node(cfg, sim, medium, scenario.mac,
                           stack=scenario.stack,
-                          on_datagram=on_datagram if role == "sink" else None,
+                          on_datagram=on_datagram if sink else None,
                           on_drop=on_drop)
     for (a, b), pdr in sorted(topo.links.items()):
         if scenario.force_link_pdr is not None:
@@ -382,7 +383,7 @@ def _simulate(scenario, topo, seed, payload):
     # at a time (given lo exceeds a train's transit time); otherwise each
     # sender runs its own clock.
     lo, hi = scenario.interval_us
-    count, order = scenario.packets_per_source, sorted(senders)
+    count, order = scenario.packets_per_source, sorted(topo.senders())
     if scenario.serialize_sends:
         plan = [(nid, None) for _ in range(count) for nid in order]
     else:
@@ -391,7 +392,7 @@ def _simulate(scenario, topo, seed, payload):
     for dgram_id, (nid, clock) in enumerate(plan, 1):
         t = clocks[clock] = clocks.get(clock, 0) + sim.rng.randint(lo, hi)
         recs[dgram_id] = _Rec(nid)
-        sim.at(t, partial(send, nodes[nid], dgram_id))
+        sim.at(t, send, nodes[nid], dgram_id)
 
     sim.run()
 
@@ -574,6 +575,9 @@ def aggregate_runs(paths):
     retrans_run_means = []
     pktbuf_max = 0
     violations = 0
+    rbuf_counters = ("rbuf_full", "rbuf_timeout", "rbuf_timeout_no_first")
+    rbuf = {"%s_%s" % (name, where): 0 for name in rbuf_counters
+            for where in ("sink", "others")}
     for run in runs:
         for row in run["tables"]["summary"]:
             p = row["payload"]
@@ -599,34 +603,22 @@ def aggregate_runs(paths):
             by_payload.setdefault(r["payload"], []).append(
                 int(r["l2_retransmissions"]))
             pktbuf_max = max(pktbuf_max, int(r["pktbuf_high_water"]))
+            where = "sink" if int(r["hop_distance"]) == 0 else "others"
+            for name in rbuf_counters:
+                rbuf["%s_%s" % (name, where)] += int(r[name])
         for p, vals in by_payload.items():
             per_payload[p]["l2_retransmissions_per_node"].append(
                 statistics.mean(vals))
         violations += len(run["violations"])
 
-    rbuf = {"rbuf_full_sink": 0, "rbuf_full_others": 0,
-            "rbuf_timeout_sink": 0, "rbuf_timeout_no_first_sink": 0,
-            "rbuf_timeout_others": 0, "rbuf_timeout_no_first_others": 0}
-    for run in runs:
-        for r in run["tables"]["node_counters"]:
-            where = "sink" if int(r["hop_distance"]) == 0 else "others"
-            rbuf["rbuf_full_" + where] += int(r["rbuf_full"])
-            rbuf["rbuf_timeout_" + where] += int(r["rbuf_timeout"])
-            rbuf["rbuf_timeout_no_first_" + where] += int(
-                r["rbuf_timeout_no_first"])
-    if rbuf["rbuf_timeout_others"]:
-        rbuf["no_first_share_others"] = (
-            rbuf["rbuf_timeout_no_first_others"]
-            / rbuf["rbuf_timeout_others"])
-    else:
-        rbuf["no_first_share_others"] = None
-    expired = rbuf["rbuf_timeout_sink"] + rbuf["rbuf_timeout_others"]
-    if expired:
-        rbuf["no_first_share_all"] = (
-            (rbuf["rbuf_timeout_no_first_sink"]
-             + rbuf["rbuf_timeout_no_first_others"]) / expired)
-    else:
-        rbuf["no_first_share_all"] = None
+    others = rbuf["rbuf_timeout_others"]
+    expired = rbuf["rbuf_timeout_sink"] + others
+    rbuf["no_first_share_others"] = (
+        rbuf["rbuf_timeout_no_first_others"] / others if others else None)
+    rbuf["no_first_share_all"] = (
+        (rbuf["rbuf_timeout_no_first_sink"]
+         + rbuf["rbuf_timeout_no_first_others"]) / expired
+        if expired else None)
 
     for entry in per_payload.values():
         entry["pdr_mean"] = statistics.mean(entry["pdr"])

@@ -138,7 +138,7 @@ class Mac:
             return
         rx.in_air = False
         self.rx_hold_until = self.sim.now + hold
-        self.sim.at(self.rx_hold_until, lambda: self._rx_release(rx))
+        self.sim.at(self.rx_hold_until, self._rx_release, rx)
 
     def _rx_release(self, rx):
         if self.current_rx is rx:
@@ -202,7 +202,7 @@ class Mac:
 
     def _backoff(self, job):
         delay = self.sim.rng.randrange(1 << job.be) * UNIT_BACKOFF_US
-        self.sim.after(delay, lambda: self._cca(job))
+        self.sim.after(delay, self._cca, job)
 
     def _cca(self, job):
         if self.current is not job:
@@ -218,7 +218,7 @@ class Mac:
             else:
                 self._backoff(job)
             return
-        self.sim.after(CCA_DUR_US, lambda: self._tx_start(job))
+        self.sim.after(CCA_DUR_US, self._tx_start, job)
 
     def _tx_start(self, job):
         now = self.sim.now
@@ -230,7 +230,7 @@ class Mac:
             # was arriving: reception is aborted.
             self.current_rx.destroyed = True
         self.medium.begin_tx(self, job.frame, now, t1)
-        self.sim.at(t1, lambda: self._tx_end(job))
+        self.sim.at(t1, self._tx_end, job)
 
     def _tx_end(self, job):
         delivered, dest = self.medium.finish_tx(self, job.frame)

@@ -18,8 +18,7 @@ fate to the first thing that went wrong.
 """
 
 import hashlib
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 from .buffers import (DatagramKey, FragmentationBuffer, PacketArena,
                       ReassemblyBuffer)
@@ -30,8 +29,6 @@ from .metrics import NodeCounters
 from .vrb import TagAllocator, VrbTable
 
 HEADER_BYTES = 48    # 40-byte IPv6 header region + 8-byte UDP header
-
-ROLES = ("source", "forwarder", "sink")
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,19 +61,10 @@ def build_datagram(src, dgram_id, payload_size):
 @dataclass(frozen=True, slots=True)
 class NodeConfig:
     id: int
-    role: str
-    route_next_hop: object          # None only at the sink
+    route_next_hop: object          # None exactly at the sink
     strategy: str
     rbuf_entries: object = 16       # None = unbounded
     vrb_entries: object = 16
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError("unknown role: %r" % (self.role,))
-        if self.strategy not in STRATEGIES:
-            raise ValueError("unknown strategy: %r" % (self.strategy,))
-        if (self.role == "sink") != (self.route_next_hop is None):
-            raise ValueError("exactly the sink runs without a next hop")
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,14 +160,14 @@ class Node:
     # -- receiving ------------------------------------------------------
 
     def _on_deliver(self, frame, now):
-        self.sim.after(self.stack.proc_delay_us, partial(self._process, frame))
+        self.sim.after(self.stack.proc_delay_us, self._process, frame)
 
     def _process(self, frame):
         now = self.sim.now
         frag = frame.fragment
         header = frag.header
         if header is None:
-            if self.config.role == "sink":
+            if self.config.route_next_hop is None:
                 self._deliver_up(frame.dgram_id, frag.payload, now)
             else:
                 self.counters.datagrams_forwarded += 1
@@ -189,7 +177,7 @@ class Node:
             return
         key = DatagramKey(frame.src, frame.dst, header.datagram_size,
                           header.datagram_tag)
-        if self.config.role == "sink" or self.strategy.reassemble:
+        if self.config.route_next_hop is None or self.strategy.reassemble:
             self._reassemble_step(key, frag, frame.dgram_id, now)
         elif isinstance(header, Frag1Header):
             self._ff_first(key, frag, frame.dgram_id, now)
@@ -205,7 +193,7 @@ class Node:
         status, value = self.rbuf.insert(key, frag.offset, frag.payload, now,
                                          dgram_id)
         if status == "completed":
-            if self.config.role == "sink":
+            if self.config.route_next_hop is None:
                 self._deliver_up(dgram_id, value, now)
             else:
                 self.counters.datagrams_forwarded += 1
@@ -229,15 +217,9 @@ class Node:
             return
         self._arm_timer(self.vrb)
         entry.covered_bytes = len(frag.payload)
-        outs = []
-        for out in refragment_first(frag, self.comp, self.sdu):
-            h = out.header
-            if isinstance(h, Frag1Header):
-                h = Frag1Header(h.datagram_size, entry.out_tag)
-            else:
-                h = FragNHeader(h.datagram_size, entry.out_tag,
-                                h.offset_units)
-            outs.append(Fragment(h, out.payload, out.comp_size))
+        outs = [replace(out, header=replace(out.header,
+                                            datagram_tag=entry.out_tag))
+                for out in refragment_first(frag, self.comp, self.sdu)]
         if not self.strategy.queue:
             self.counters.datagrams_forwarded += 1
         self._vrb_emit(entry, outs, dgram_id, now)
@@ -297,7 +279,7 @@ class Node:
         if armed is not None and armed <= t:
             return
         self._timer_at[table] = t
-        self.sim.at(t, partial(self._timer_fire, table))
+        self.sim.at(t, self._timer_fire, table)
 
     def _timer_fire(self, table):
         self._timer_at[table] = None

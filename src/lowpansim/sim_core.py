@@ -23,45 +23,37 @@ import random
 
 
 class Simulator:
-    """Monotonic event loop over (time_us, seq, callback) entries."""
+    """Monotonic event loop over (time_us, seq, fn, args) entries."""
 
-    __slots__ = ("now", "rng", "trace", "_heap", "_seq")
+    __slots__ = ("now", "rng", "_heap", "_seq")
 
-    def __init__(self, seed=0, trace=False):
+    def __init__(self, seed=0):
         self.now = 0
         self.rng = random.Random(seed)
-        self.trace = [] if trace else None
         self._heap = []
         self._seq = 0
 
-    def at(self, t, fn):
-        """Schedule fn at absolute time t (may equal the current time)."""
+    def at(self, t, fn, *args):
+        """Schedule fn(*args) at absolute time t, which may be now."""
         if t < self.now:
             raise ValueError("cannot schedule into the past: %d < %d"
                              % (t, self.now))
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn))
+        heapq.heappush(self._heap, (t, self._seq, fn, args))
 
-    def after(self, dt, fn):
+    def after(self, dt, fn, *args):
         if dt < 0:
             raise ValueError("negative delay: %d" % dt)
-        self.at(self.now + dt, fn)
+        self.at(self.now + dt, fn, *args)
 
-    def log(self, text):
-        self.trace.append("%d %s" % (self.now, text))
-
-    def run(self, until=None):
-        """Process events until the queue drains (or past `until`)."""
+    def run(self):
+        """Process events in time order; return once the queue is empty."""
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            t, _, fn = pop(heap)
+            t, _, fn, args = pop(heap)
             self.now = t
-            fn()
-        if until is not None and until > self.now:
-            self.now = until
+            fn(*args)
 
 
 class RxState:
@@ -69,7 +61,7 @@ class RxState:
 
     While in_air the frame is still being received and a colliding
     transmission destroys it; once received it may stay in the buffer
-    (in_air False) until the host reads it out, deaf but indestructible.
+    (in_air False), deaf but indestructible, before the host reads it out.
     """
 
     __slots__ = ("frame", "destroyed", "in_air")
@@ -83,10 +75,9 @@ class RxState:
 class Medium:
     """Single shared channel with per-link PDR and collision semantics."""
 
-    __slots__ = ("sim", "rng", "macs", "neighbors", "link_pdr")
+    __slots__ = ("rng", "macs", "neighbors", "link_pdr")
 
     def __init__(self, sim):
-        self.sim = sim
         self.rng = sim.rng
         self.macs = {}
         self.neighbors = {}   # node_id -> list of in-range macs
@@ -129,8 +120,6 @@ class Medium:
             rx = nbr.current_rx
             if rx is not None and rx.in_air and rx.frame is not frame:
                 rx.destroyed = True
-        if self.sim.trace is not None:
-            self.sim.log("tx %d->%d until %d" % (sender.node_id, frame.dst, t1))
 
     def finish_tx(self, sender, frame):
         """Resolve a transmission; returns (delivered, dest_mac)."""
@@ -142,11 +131,7 @@ class Medium:
             if rx.destroyed:
                 dest.current_rx = None
                 dest.counters.collisions += 1
-                if self.sim.trace is not None:
-                    self.sim.log("collision %d->%d" % (sender.node_id, frame.dst))
                 return (False, dest)
             dest.frame_received(rx)
-            if self.sim.trace is not None:
-                self.sim.log("delivered %d->%d" % (sender.node_id, frame.dst))
             return (True, dest)
         return (False, dest)

@@ -178,8 +178,7 @@ def _line_trace(strategy, payload):
     nodes = {}
     got = []
     for nid in (0, 1, 2):
-        role = "sink" if nid == 0 else ("forwarder" if nid == 1 else "source")
-        cfg = NodeConfig(id=nid, role=role,
+        cfg = NodeConfig(id=nid,
                          route_next_hop=nid - 1 if nid else None,
                          strategy=strategy, rbuf_entries=16, vrb_entries=16)
         # Deep retry budget: the control asks about ordering, not loss.

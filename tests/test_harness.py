@@ -73,6 +73,7 @@ def test_scenario_validation(tmp_path):
         {"payloads": [81]},
         {"payloads": []},
         {"payloads": 80},
+        {"payloads": [80, 80]},
         {"interval_us": [5, 2]},
         {"interval_us": 5},
         {"seeds": []},
@@ -87,6 +88,8 @@ def test_scenario_validation(tmp_path):
         {"stack": {"proc_delay_us": -5}},
         {"stack": {"comp_header_bytes": 41}},
         {"version": 2},
+        {"version": True},
+        {"version": 1.0},
         {"frobnicate": 1},
         {"topology": "missing.txt"},
     ):

@@ -29,7 +29,7 @@ class Line:
         self.nodes = []
         for i in range(n):
             role = "source" if i == 0 else ("sink" if i == n - 1 else "forwarder")
-            cfg = NodeConfig(id=i, role=role,
+            cfg = NodeConfig(id=i,
                              route_next_hop=None if role == "sink" else i + 1,
                              strategy=strategy, rbuf_entries=16, vrb_entries=16)
             node = Node(cfg, self.sim, self.medium, mac, stack,

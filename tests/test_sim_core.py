@@ -49,29 +49,18 @@ def test_negative_delay_rejected():
         sim.at(5, lambda: None)
 
 
-def test_run_until_leaves_future_events():
-    sim = Simulator(seed=1)
-    seen = []
-    sim.at(10, lambda: seen.append(10))
-    sim.at(30, lambda: seen.append(30))
-    sim.run(until=20)
-    assert seen == [10]
-    assert sim.now == 20
-    sim.run()
-    assert seen == [10, 30]
-
-
 def _trace_digest(seed):
-    sim = Simulator(seed=seed, trace=True)
+    sim = Simulator(seed=seed)
+    trace = []
 
     def tick(i):
-        sim.log("tick %d draw %.6f" % (i, sim.rng.random()))
+        trace.append("%d tick %d draw %.6f" % (sim.now, i, sim.rng.random()))
         if i < 40:
             sim.after(sim.rng.randrange(1, 50), lambda: tick(i + 1))
 
     sim.after(0, lambda: tick(0))
     sim.run()
-    return hashlib.sha256("\n".join(sim.trace).encode()).hexdigest()
+    return hashlib.sha256("\n".join(trace).encode()).hexdigest()
 
 
 def test_same_seed_gives_identical_trace():
