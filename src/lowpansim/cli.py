@@ -24,9 +24,16 @@ def _cmd_generate(args):
     return 0
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer, not %r" % text)
+    return int(text)
+
+
 def _cmd_run(args):
     scenario = load_scenario(args.scenario)
-    paths = run_experiment(scenario, args.out)
+    paths = run_experiment(scenario, args.out, args.jobs)
     agg = json.loads((Path(args.out) / "aggregate.json").read_text())
     for payload, entry in sorted(agg["per_payload"].items(),
                                  key=lambda kv: int(kv[0])):
@@ -82,6 +89,9 @@ def main(argv=None):
     run.add_argument("--scenario", required=True)
     run.add_argument("--out", required=True,
                      help="directory for run metrics and aggregate.json")
+    run.add_argument("--jobs", type=_positive_int, default=None,
+                     help="worker processes for the simulations (default: "
+                          "every usable CPU); output does not depend on it")
     run.set_defaults(fn=_cmd_run)
 
     agg = sub.add_parser("aggregate", help="fold run metrics files")

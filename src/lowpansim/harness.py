@@ -2,18 +2,21 @@
 
 A scenario is a JSON document naming a topology file, a forwarding
 strategy, payload sizes, the send interval, and explicit seeds. Each
-(seed, payload) pair is simulated independently; one delimited text
-file per seed collects every payload section, and an aggregate JSON
-folds the run files into summary series. Reruns are byte identical.
+(seed, payload) pair is simulated independently, in worker processes
+when there are several; one delimited text file per seed collects every
+payload section, and an aggregate JSON folds the run files into summary
+series. Reruns are byte identical, whatever the worker count.
 """
 
 import hashlib
 import json
 import math
+import os
 import statistics
 from collections import Counter
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
+from itertools import repeat
 from pathlib import Path
 
 from .frag_codec import CompressionHeader, fragment_count
@@ -438,8 +441,51 @@ def _simulate(scenario, topo, seed, payload):
     return result
 
 
-def run_one(scenario, topo, seed):
-    return [_simulate(scenario, topo, seed, p) for p in scenario.payloads]
+def worker_count(jobs, tasks):
+    """Worker processes for `tasks` simulations: no more than `jobs` (None
+    means no limit), the CPUs this process may use or the tasks."""
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be a positive integer, not %r" % jobs)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:               # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(jobs or cpus, cpus, tasks)
+
+
+def run_one(scenario, topo, jobs=None):
+    """Every simulation of `scenario`, as {seed: results in payload order}.
+
+    A repeated seed is simulated once.  With more than one worker the
+    simulations run in a process pool, largest payload first so that the
+    longest ones do not come last.  Each seeds its own RNG and results are
+    gathered in task order, so they do not depend on the worker count.
+    """
+    seeds = list(dict.fromkeys(scenario.seeds))
+    tasks = [(seed, payload)
+             for payload in sorted(scenario.payloads, reverse=True)
+             for seed in seeds]
+    args = (repeat(scenario, len(tasks)), repeat(topo, len(tasks)),
+            *zip(*tasks))
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
+        results = list(map(_simulate, *args))
+    else:
+        # Imported here: a single-worker run never pays for it.
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+        # A forked worker costs about a sixth of the CPU time of a spawned
+        # one, which imports the package again, but fork is unsafe once
+        # other threads run.
+        fork = (threading.active_count() == 1
+                and "fork" in multiprocessing.get_all_start_methods())
+        context = multiprocessing.get_context("fork" if fork else "spawn")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            results = list(pool.map(_simulate, *args))
+    by_task = dict(zip(tasks, results))
+    return {seed: [by_task[seed, payload] for payload in scenario.payloads]
+            for seed in seeds}
 
 
 def _render_run(scenario, fingerprint, topo_sha, run_index, seed, results,
@@ -493,20 +539,21 @@ def _render_run(scenario, fingerprint, topo_sha, run_index, seed, results,
     return "\n".join(out) + "\n"
 
 
-def run_experiment(scenario, outdir):
-    """Simulate every (seed, payload) pair; write one metrics file per
-    seed plus aggregate.json. Returns the written paths."""
+def run_experiment(scenario, outdir, jobs=None):
+    """Simulate every (seed, payload) pair on up to `jobs` worker processes
+    (None: every usable CPU); write one metrics file per seed plus
+    aggregate.json. Returns the written paths."""
     topo = load_topology(scenario.topology_path())
     topo_bytes = scenario.topology_path().read_bytes()
     fingerprint = scenario_fingerprint(scenario, topo_bytes)
     topo_sha = hashlib.sha256(topo_bytes).hexdigest()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    results = run_one(scenario, topo, jobs)
     paths = []
     for run_index, seed in enumerate(scenario.seeds):
-        results = run_one(scenario, topo, seed)
         text = _render_run(scenario, fingerprint, topo_sha, run_index, seed,
-                           results, topo.hop_distance)
+                           results[seed], topo.hop_distance)
         path = outdir / ("run-%02d.txt" % run_index)
         path.write_text(text)
         paths.append(path)

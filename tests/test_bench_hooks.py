@@ -1,9 +1,16 @@
 """The benchmark's per-layer tracer still finds every name it patches."""
 
+import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
+
+import pytest
+
+from lowpansim import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +50,33 @@ def test_benchmark_tracer_installs():
     delivered, events, transmissions = map(int, proc.stdout.split())
     assert delivered == 1
     assert events > 0 and transmissions > 0
+
+
+class _SetupDone(Exception):
+    pass
+
+
+def test_setup_probe_stops_before_any_simulation(tmp_path, monkeypatch):
+    # perfbench/child.py replaces harness.run_one to time set-up and, in a
+    # set-up probe, raises at its first call.  That only measures set-up if
+    # run_one is called through the module once, before any simulation,
+    # worker process or run file.
+    calls = []
+
+    def first_call(*args, **kwargs):
+        calls.append(args)
+        raise _SetupDone
+    monkeypatch.setattr(harness, "run_one", first_call)
+    topology = resources.files("lowpansim.data") / "topology50.txt"
+    (tmp_path / "topology50.txt").write_bytes(topology.read_bytes())
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "version": 1, "topology": "topology50.txt", "strategy": "HWR",
+        "payloads": [80, 176], "seeds": [1, 2, 3],
+        "interval_us": [5_000_000, 10_000_000]}))
+    out = tmp_path / "out"
+    with pytest.raises(_SetupDone):
+        cli.main(["run", "--scenario", str(scenario), "--out", str(out)])
+    assert len(calls) == 1
+    assert list(out.glob("run-*.txt")) == []
+    assert multiprocessing.active_children() == []

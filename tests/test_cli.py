@@ -3,6 +3,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from lowpansim.cli import main
 
 from test_harness import line_topology, write_scenario
@@ -59,6 +61,16 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: force_link_pdr") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+    # A worker count that is not a positive integer is a usage error.
+    scn = write_scenario(tmp_path, line_topology(3))
+    for jobs in ("0", "-1", "x"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o"),
+                  "--jobs", jobs])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs" in err and "Traceback" not in err
 
 
 def test_aggregate_refuses_mixed_inputs_via_cli(tmp_path, capsys):

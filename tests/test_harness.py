@@ -2,15 +2,20 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
 import statistics
+import threading
 from dataclasses import fields
 
 import pytest
 
+from lowpansim import harness
 from lowpansim.harness import (Scenario, ScenarioError, FRAG_COUNT_TABLE,
                                UNBOUNDED_ENTRIES, _render_run, aggregate_runs,
                                load_scenario, run_experiment,
-                               frag_table_check, scenario_fingerprint)
+                               frag_table_check, scenario_fingerprint,
+                               worker_count)
 from lowpansim.link_mac import CCA_DUR_US, MacParams, airtime_us
 from lowpansim.node_stack import StackParams
 from lowpansim.topology import Topology, link_pdr, save_topology
@@ -194,6 +199,75 @@ def test_run_is_byte_identical_on_rerun(tmp_path):
         h1 = hashlib.sha256(p1.read_bytes()).hexdigest()
         h2 = hashlib.sha256(p2.read_bytes()).hexdigest()
         assert h1 == h2, p1.name
+
+
+def _digests(files):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+def _counting_simulate(monkeypatch):
+    """Replace harness._simulate with an in-process wrapper; returns the
+    list of worker processes alive at each call."""
+    seen, simulate = [], harness._simulate
+
+    def counted(*args):
+        seen.append(multiprocessing.active_children())
+        return simulate(*args)
+    monkeypatch.setattr(harness, "_simulate", counted)
+    return seen
+
+
+def test_run_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    scn = load_scenario(write_scenario(
+        tmp_path, line_topology(5), payloads=[80, 272],
+        packets_per_source=3, seeds=[7, 8, 7], force_link_pdr=0.9))
+    # Two usable CPUs, so that jobs=2 starts a pool on any host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    pooled = _digests(run_experiment(scn, tmp_path / "pool", jobs=2))
+    # Another thread running makes the pool spawn its workers, not fork.
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        spawned = _digests(run_experiment(scn, tmp_path / "spawn", jobs=2))
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+    seen = _counting_simulate(monkeypatch)
+    single = _digests(run_experiment(scn, tmp_path / "one", jobs=1))
+    assert len(seen) == 4            # the repeated seed is simulated once
+    assert single == pooled == spawned
+    assert sorted(single) == ["aggregate.json", "run-00.txt", "run-01.txt",
+                              "run-02.txt"]
+    assert single["run-00.txt"] != single["run-02.txt"]   # run_index differs
+
+
+def test_worker_count_is_capped_by_cpus_and_tasks(monkeypatch):
+    assert 1 <= worker_count(10 ** 6, 50) <= min(os.cpu_count(), 50)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert worker_count(10 ** 6, 50) == 2
+    assert worker_count(None, 50) == 2
+    assert worker_count(1, 50) == 1
+    assert worker_count(None, 1) == 1
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            worker_count(jobs, 50)
+
+
+def test_one_worker_runs_in_this_process(tmp_path, monkeypatch):
+    seen = _counting_simulate(monkeypatch)
+    one_task = load_scenario(write_scenario(tmp_path, line_topology(4)))
+    run_experiment(one_task, tmp_path / "a")
+    many_tasks = load_scenario(write_scenario(
+        tmp_path, line_topology(4), name="many.json", payloads=[80, 176],
+        seeds=[1, 2]))
+    run_experiment(many_tasks, tmp_path / "b", jobs=1)
+    assert seen == [[]] * 5
+    assert multiprocessing.active_children() == []
 
 
 def test_lossy_run_conserves_every_datagram(tmp_path):
