@@ -13,6 +13,8 @@ import json
 import math
 import os
 import statistics
+import sys
+import threading
 from collections import Counter
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
@@ -441,15 +443,26 @@ def _simulate(scenario, topo, seed, payload):
     return result
 
 
+def _profiled():
+    """Whether a profiler watches this process.  Forked workers would run
+    under it too, and what it saw in them would be lost."""
+    monitoring = getattr(sys, "monitoring", None)       # Python 3.12+
+    return sys.getprofile() is not None or (
+        monitoring is not None
+        and monitoring.get_tool(monitoring.PROFILER_ID) is not None)
+
+
 def worker_count(jobs, tasks):
     """Worker processes for `tasks` simulations: no more than `jobs` (None
-    means no limit), the CPUs this process may use or the tasks."""
+    means no limit), the CPUs this process may use or the tasks.  It is 1,
+    this process, unless workers can be forked safely (on Linux, with no
+    other thread running) and no profiler watches this process."""
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be a positive integer, not %r" % jobs)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:               # no affinity call on this platform
-        cpus = os.cpu_count() or 1
+    if (sys.platform != "linux" or threading.active_count() > 1
+            or _profiled()):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
     return min(jobs or cpus, cpus, tasks)
 
 
@@ -457,9 +470,10 @@ def run_one(scenario, topo, jobs=None):
     """Every simulation of `scenario`, as {seed: results in payload order}.
 
     A repeated seed is simulated once.  With more than one worker the
-    simulations run in a process pool, largest payload first so that the
-    longest ones do not come last.  Each seeds its own RNG and results are
-    gathered in task order, so they do not depend on the worker count.
+    simulations run in a pool of forked processes, largest payload first
+    so that the longest ones do not come last.  Each seeds its own RNG and
+    results are gathered in task order, so they do not depend on the
+    worker count.
     """
     seeds = list(dict.fromkeys(scenario.seeds))
     tasks = [(seed, payload)
@@ -473,14 +487,8 @@ def run_one(scenario, topo, jobs=None):
     else:
         # Imported here: a single-worker run never pays for it.
         import multiprocessing
-        import threading
         from concurrent.futures import ProcessPoolExecutor
-        # A forked worker costs about a sixth of the CPU time of a spawned
-        # one, which imports the package again, but fork is unsafe once
-        # other threads run.
-        fork = (threading.active_count() == 1
-                and "fork" in multiprocessing.get_all_start_methods())
-        context = multiprocessing.get_context("fork" if fork else "spawn")
+        context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             results = list(pool.map(_simulate, *args))
     by_task = dict(zip(tasks, results))

@@ -1,10 +1,12 @@
 """End-to-end experiment runner tests on small handcrafted networks."""
 
+import cProfile
 import hashlib
 import json
 import multiprocessing
 import os
 import statistics
+import sys
 import threading
 from dataclasses import fields
 
@@ -225,21 +227,10 @@ def test_run_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     pooled = _digests(run_experiment(scn, tmp_path / "pool", jobs=2))
-    # Another thread running makes the pool spawn its workers, not fork.
-    stop = threading.Event()
-    waiter = threading.Thread(target=stop.wait)
-    waiter.start()
-    try:
-        spawned = _digests(run_experiment(scn, tmp_path / "spawn", jobs=2))
-    finally:
-        stop.set()
-        waiter.join(timeout=10)
-    assert not waiter.is_alive()
-
     seen = _counting_simulate(monkeypatch)
     single = _digests(run_experiment(scn, tmp_path / "one", jobs=1))
     assert len(seen) == 4            # the repeated seed is simulated once
-    assert single == pooled == spawned
+    assert single == pooled
     assert sorted(single) == ["aggregate.json", "run-00.txt", "run-01.txt",
                               "run-02.txt"]
     assert single["run-00.txt"] != single["run-02.txt"]   # run_index differs
@@ -249,6 +240,7 @@ def test_worker_count_is_capped_by_cpus_and_tasks(monkeypatch):
     assert 1 <= worker_count(10 ** 6, 50) <= min(os.cpu_count(), 50)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
     assert worker_count(10 ** 6, 50) == 2
     assert worker_count(None, 50) == 2
     assert worker_count(1, 50) == 1
@@ -256,6 +248,33 @@ def test_worker_count_is_capped_by_cpus_and_tasks(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(ValueError):
             worker_count(jobs, 50)
+
+
+def test_one_worker_where_a_pool_would_be_unsafe_or_unseen(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert worker_count(None, 50) == 2
+    # Fork is unsafe once another thread runs.
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert worker_count(None, 50) == 1
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    # A profiler sees only this process, so the work stays in it.
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        profiled = worker_count(None, 50)
+    finally:
+        profile.disable()
+    assert profiled == 1
+    # Elsewhere than on Linux, fork is not the safe default.
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert worker_count(None, 50) == 1
 
 
 def test_one_worker_runs_in_this_process(tmp_path, monkeypatch):
