@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from .harness import (ScenarioError, aggregate_runs, load_scenario,
-                      run_experiment, frag_table_check)
+                      read_run_file, run_experiment, frag_table_check)
 from .topology import (GenerationError, TopologyFileError, find_topology,
                        grid_office_plan, save_topology)
 
@@ -47,7 +47,7 @@ def _cmd_run(args):
 
 
 def _cmd_aggregate(args):
-    agg = aggregate_runs([Path(p) for p in args.runs])
+    agg = aggregate_runs([read_run_file(p) for p in args.runs])
     text = json.dumps(agg, sort_keys=True, indent=1) + "\n"
     Path(args.out).write_text(text)
     print(args.out)

@@ -3,19 +3,20 @@
 A scenario is a JSON document naming a topology file, a forwarding
 strategy, payload sizes, the send interval, and explicit seeds. Each
 (seed, payload) pair is simulated independently, in worker processes
-when there are several; one delimited text file per seed collects every
-payload section, and an aggregate JSON folds the run files into summary
-series. Reruns are byte identical, whatever the worker count.
+when there are several, into one Record; a text file per seed holds its
+Records in the tables of _TABLES, and aggregate_runs folds Records.
+Reruns are byte identical, whatever the worker count.
 """
 
 import hashlib
 import json
 import math
 import os
+import re
 import statistics
 import sys
 import threading
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
 from itertools import repeat
@@ -274,33 +275,55 @@ def frag_table_check():
     return rows, mismatches
 
 
+@dataclass(slots=True)
 class _Rec:
     """Per-datagram bookkeeping for one payload simulation."""
-
-    __slots__ = ("source", "sent_at", "delivered_at", "cause", "cause_at")
-
-    def __init__(self, source):
-        self.source = source
-        self.sent_at = None
-        self.delivered_at = None
-        self.cause = None
-        self.cause_at = None
+    source: int
+    sent_at: int = None
+    delivered_at: int = None
+    cause: str = None
+    cause_at: int = None
 
 
-class _PayloadRun:
-    __slots__ = ("payload", "frag_count", "sent", "delivered", "latency",
-                 "counters", "high_water", "causes", "violations")
+# The rows of one (seed, payload) simulation in each run-file table.
+Latency = namedtuple("Latency", "hop_distance latency_us dgram_id")
+NodeRow = namedtuple("NodeRow", ("node", "hop_distance", *COUNTER_FIELDS,
+                                 "pktbuf_high_water"))
+Cause = namedtuple("Cause", "cause count")
 
-    def __init__(self, payload, frag_count):
-        self.payload = payload
-        self.frag_count = frag_count
-        self.sent = 0
-        self.delivered = 0
-        self.latency = []        # (hop_distance, latency_us, dgram_id)
-        self.counters = {}       # node -> counter dict
-        self.high_water = {}     # node -> arena high water
-        self.causes = Counter()
-        self.violations = []
+
+@dataclass(slots=True)
+class Record:
+    """One (seed, payload) simulation, as it is written, parsed and folded."""
+    payload: int
+    frag_count: int
+    sent: int
+    delivered: int
+    latency: list = field(default_factory=list)      # by dgram_id
+    nodes: list = field(default_factory=list)        # by node id
+    causes: list = field(default_factory=list)       # by cause
+    violations: list = field(default_factory=list)   # invariant text
+
+    @property
+    def pdr(self):
+        return self.delivered / self.sent
+
+
+# One run file: its [scenario] block (key -> text) and one Record per
+# payload, in scenario order.
+Run = namedtuple("Run", "block records")
+
+# The tables of a run file, in file order: section, the Record fields that
+# lead each row, then the Record list and row type whose fields follow them
+# (a summary row is the Record itself).  Render and parse both read this.
+_TABLES = (
+    ("summary", ("payload", "frag_count", "sent", "delivered", "pdr"),
+     None, None),
+    ("latency", ("payload", "frag_count"), "latency", Latency),
+    ("node_counters", ("payload",), "nodes", NodeRow),
+    ("loss_causes", ("payload",), "causes", Cause),
+)
+_CELL_TYPES = {"pdr": float, "cause": str}      # every other cell is an int
 
 
 def _path_edges(topo, source):
@@ -328,9 +351,8 @@ def _simulate(scenario, topo, seed, payload):
     of one payload size; runs until the event queue drains."""
     sim = Simulator(seed=seed * 1000003 + payload)
     medium = Medium(sim)
-    result = _PayloadRun(payload, _frag_count(scenario, payload))
     recs = {}
-    violations = result.violations
+    violations = []
 
     def on_datagram(dgram_id, data, now):
         rec = recs.get(dgram_id)
@@ -401,22 +423,23 @@ def _simulate(scenario, topo, seed, payload):
 
     sim.run()
 
-    result.sent = len(recs)
+    latency, causes = [], Counter()
     for dgram_id in sorted(recs):
         rec = recs[dgram_id]
         if rec.delivered_at is not None:
-            result.delivered += 1
-            result.latency.append((topo.hop_distance[rec.source],
+            latency.append(Latency(topo.hop_distance[rec.source],
                                    rec.delivered_at - rec.sent_at, dgram_id))
         elif rec.cause is not None:
-            result.causes[rec.cause] += 1
+            causes[rec.cause] += 1
         else:
             violations.append("datagram %d neither delivered nor attributed"
                               % dgram_id)
-    if result.sent != result.delivered + sum(result.causes.values()):
+    result = Record(payload, _frag_count(scenario, payload), len(recs),
+                    len(latency), latency, violations=violations,
+                    causes=[Cause(*item) for item in sorted(causes.items())])
+    if result.sent != result.delivered + causes.total():
         violations.append("loss-cause conservation broken: %d != %d + %d"
-                          % (result.sent, result.delivered,
-                             sum(result.causes.values())))
+                          % (result.sent, result.delivered, causes.total()))
 
     if scenario.check_paths:
         for dgram_id, used in sorted(edges.items()):
@@ -431,8 +454,9 @@ def _simulate(scenario, topo, seed, payload):
 
     for nid in topo.members:
         node = nodes[nid]
-        result.counters[nid] = node.counters.as_dict()
-        result.high_water[nid] = node.arena.high_water
+        result.nodes.append(NodeRow(
+            nid, topo.hop_distance[nid], *node.counters.as_dict().values(),
+            node.arena.high_water))
         if node.arena.used != 0:
             violations.append("node %d arena holds %d bytes after drain"
                               % (nid, node.arena.used))
@@ -496,54 +520,32 @@ def run_one(scenario, topo, jobs=None):
             for seed in seeds}
 
 
-def _render_run(scenario, fingerprint, topo_sha, run_index, seed, results,
-                hop_distance):
-    out = ["metrics v1", "[scenario]", "fingerprint\t" + fingerprint]
+def _scenario_block(scenario, fingerprint, topo_sha, run_index, seed):
+    """The [scenario] block of one run file, as key -> text."""
+    block = {"fingerprint": fingerprint}
     # Facts of this file follow the key they qualify.
-    after = {"topology": [("topology_sha256", topo_sha)],
-             "seeds": [("run_index", run_index), ("seed", seed)]}
+    after = {"topology": {"topology_sha256": topo_sha},
+             "seeds": {"run_index": str(run_index), "seed": str(seed)}}
     for f in _KEY_FIELDS:
-        value = _plain(getattr(scenario, f.name))
-        out.append("%s\t%s" % (f.name, _render_value(value)))
-        out += ["%s\t%s" % pair for pair in after.get(f.name, ())]
+        block[f.name] = _render_value(_plain(getattr(scenario, f.name)))
+        block.update(after.get(f.name, {}))
+    return block
 
-    out.append("[summary]")
-    out.append("payload\tfrag_count\tsent\tdelivered\tpdr")
-    for r in results:
-        out.append("%d\t%d\t%d\t%d\t%r"
-                   % (r.payload, r.frag_count, r.sent, r.delivered,
-                      r.delivered / r.sent))
 
-    out.append("[latency]")
-    out.append("payload\tfrag_count\thop_distance\tlatency_us\tdgram_id")
-    for r in results:
-        for hops, lat, dgram_id in r.latency:
-            out.append("%d\t%d\t%d\t%d\t%d"
-                       % (r.payload, r.frag_count, hops, lat, dgram_id))
-
-    out.append("[node_counters]")
-    out.append("payload\tnode\thop_distance\t"
-               + "\t".join(COUNTER_FIELDS) + "\tpktbuf_high_water")
-    for r in results:
-        for nid in sorted(r.counters):
-            c = r.counters[nid]
-            out.append("%d\t%d\t%d\t%s\t%d"
-                       % (r.payload, nid, hop_distance[nid], "\t".join(
-                           str(c[f]) for f in COUNTER_FIELDS),
-                          r.high_water[nid]))
-
-    out.append("[loss_causes]")
-    out.append("payload\tcause\tcount")
-    for r in results:
-        for cause in sorted(r.causes):
-            out.append("%d\t%s\t%d" % (r.payload, cause, r.causes[cause]))
-
+def _render_run(run):
+    out = ["metrics v1", "[scenario]"]
+    out += ["%s\t%s" % item for item in run.block.items()]
+    for section, lead, rows, row_type in _TABLES:
+        out += ["[%s]" % section,
+                "\t".join(lead + (row_type._fields if rows else ()))]
+        for r in run.records:
+            head = [getattr(r, name) for name in lead]
+            out += ["\t".join(map(str, head + list(row)))
+                    for row in (getattr(r, rows) if rows else [()])]
     out.append("[invariants]")
-    total = sum(len(r.violations) for r in results)
-    out.append("violations\t%d" % total)
-    for r in results:
-        for v in r.violations:
-            out.append("violation\t%d\t%s" % (r.payload, v))
+    out.append("violations\t%d" % sum(len(r.violations) for r in run.records))
+    out += ["violation\t%d\t%s" % (r.payload, v)
+            for r in run.records for v in r.violations]
     return "\n".join(out) + "\n"
 
 
@@ -552,49 +554,86 @@ def run_experiment(scenario, outdir, jobs=None):
     (None: every usable CPU); write one metrics file per seed plus
     aggregate.json. Returns the written paths."""
     topo = load_topology(scenario.topology_path())
+    if not topo.senders():
+        raise ScenarioError("topology %s has no sender: every member is the "
+                            "sink or one hop from it"
+                            % scenario.topology_path())
     topo_bytes = scenario.topology_path().read_bytes()
     fingerprint = scenario_fingerprint(scenario, topo_bytes)
     topo_sha = hashlib.sha256(topo_bytes).hexdigest()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results = run_one(scenario, topo, jobs)
-    paths = []
-    for run_index, seed in enumerate(scenario.seeds):
-        text = _render_run(scenario, fingerprint, topo_sha, run_index, seed,
-                           results[seed], topo.hop_distance)
-        path = outdir / ("run-%02d.txt" % run_index)
-        path.write_text(text)
-        paths.append(path)
-    agg = aggregate_runs(paths)
+    runs = [Run(_scenario_block(scenario, fingerprint, topo_sha, i, seed),
+                results[seed]) for i, seed in enumerate(scenario.seeds)]
+    paths = [outdir / ("run-%02d.txt" % i) for i in range(len(runs))]
+    for run, path in zip(runs, paths):
+        path.write_text(_render_run(run))
     agg_path = outdir / "aggregate.json"
-    agg_path.write_text(json.dumps(agg, sort_keys=True, indent=1) + "\n")
+    agg_path.write_text(json.dumps(aggregate_runs(runs), sort_keys=True,
+                                   indent=1) + "\n")
     return paths + [agg_path]
 
 
 def read_run_file(path):
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "metrics v1":
-        raise ScenarioError("%s: not a metrics file" % path)
-    sections = {}
-    name = None
-    for line in lines[1:]:
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            sections[name] = []
-        elif name is not None and line:
-            sections[name].append(line.split("\t"))
-    meta = {row[0]: row[1] for row in sections.get("scenario", [])}
-    tables = {}
-    for sect in ("summary", "latency", "node_counters", "loss_causes"):
-        rows = sections.get(sect, [])
-        if rows:
-            header = rows[0]
-            tables[sect] = [dict(zip(header, r)) for r in rows[1:]]
-        else:
-            tables[sect] = []
-    inv = sections.get("invariants", [])
-    violations = [r for r in inv if r[0] == "violation"]
-    return {"meta": meta, "tables": tables, "violations": violations}
+    """Parse a run file into its Run; ScenarioError if it is malformed."""
+    try:
+        return _parse_run(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:       # bad encoding, bad cells, bad structure
+        raise ScenarioError("%s: malformed run file: %s" % (path, err))
+
+
+def _seeds(block):
+    return [int(s) for s in block["seeds"].split(",")]
+
+
+def _parse_run(text):
+    head, *parts = re.split(r"^\[(\w+)\]\n", text, flags=re.MULTILINE)
+    if head != "metrics v1\n":
+        raise ScenarioError("no 'metrics v1' header")
+    sections = {name: [line for line in body.split("\n") if line]
+                for name, body in zip(parts[::2], parts[1::2])}
+    block = dict(line.split("\t", 1) for line in sections.get("scenario", ()))
+    needed = ("fingerprint", "strategy", "topology_sha256", "seeds")
+    if not set(needed) <= set(block):
+        raise ScenarioError("[scenario] needs %s" % ", ".join(needed))
+    _seeds(block)                   # raises ValueError unless integers
+    records = {}
+    for section, lead, rows, row_type in _TABLES:
+        columns = lead + (row_type._fields if rows else ())
+        header, *table = sections.get(section) or [""]
+        if header.split("\t") != list(columns):
+            raise ScenarioError("no [%s] section with columns %s"
+                                % (section, " ".join(columns)))
+        for line in table:
+            cells = line.split("\t")
+            if len(cells) != len(columns):
+                raise ScenarioError("[%s] row of %d cells, not %d"
+                                    % (section, len(cells), len(columns)))
+            values = [_CELL_TYPES.get(name, int)(cell)
+                      for name, cell in zip(columns, cells)]
+            if rows is None:            # pdr is derived, so only checked
+                r = Record(**dict(zip(lead[:-1], values)))
+                if (r.sent < 1 or r.pdr != values[-1]
+                        or records.setdefault(r.payload, r) is not r):
+                    raise ScenarioError("[summary] bad row: %r" % line)
+                continue
+            r = records.get(values[0])
+            if [getattr(r, n, None) for n in lead] != values[:len(lead)]:
+                raise ScenarioError("[%s] row matches no summary row: %r"
+                                    % (section, line))
+            getattr(r, rows).append(row_type(*values[len(lead):]))
+    total, *table = sections.get("invariants") or [""]
+    for line in table:
+        kind, payload, violation = line.split("\t", 2)
+        if kind != "violation" or int(payload) not in records:
+            raise ScenarioError("[invariants] bad row: %r" % line)
+        records[int(payload)].violations.append(violation)
+    if total != "violations\t%d" % len(table):
+        raise ScenarioError("[invariants] must open with the violation count")
+    if not records or not all(r.nodes for r in records.values()):
+        raise ScenarioError("every payload needs a summary row and node rows")
+    return Run(block, list(records.values()))
 
 
 def _percentile(samples, frac):
@@ -612,17 +651,17 @@ def _stats(samples):
     }
 
 
-def aggregate_runs(paths):
-    """Fold run files for one scenario into summary series."""
-    if not paths:
+def aggregate_runs(runs):
+    """Fold the Runs of one scenario into summary series."""
+    if not runs:
         raise ScenarioError("no run files to aggregate")
-    runs = [read_run_file(p) for p in paths]
-    fingerprints = {r["meta"].get("fingerprint") for r in runs}
+    fingerprints = {run.block["fingerprint"] for run in runs}
     if len(fingerprints) != 1:
         raise ScenarioError("refusing to aggregate mixed scenarios: %s"
                             % sorted(fingerprints))
-    meta = runs[0]["meta"]
+    block = runs[0].block
 
+    # JSON keys stay strings, so that sort_keys orders "12" before "2".
     per_payload = {}
     lat_by_hops = {}
     lat_by_frags = {}
@@ -634,46 +673,39 @@ def aggregate_runs(paths):
     rbuf = {"%s_%s" % (name, where): 0 for name in rbuf_counters
             for where in ("sink", "others")}
     for run in runs:
-        for row in run["tables"]["summary"]:
-            p = row["payload"]
-            entry = per_payload.setdefault(p, {
-                "frag_count": int(row["frag_count"]),
+        run_retrans = []
+        for r in run.records:
+            entry = per_payload.setdefault(str(r.payload), {
+                "frag_count": r.frag_count,
                 "sent": [], "delivered": [], "pdr": [],
                 "l2_retransmissions_per_node": [],
             })
-            entry["sent"].append(int(row["sent"]))
-            entry["delivered"].append(int(row["delivered"]))
-            entry["pdr"].append(int(row["delivered"]) / int(row["sent"]))
-        for row in run["tables"]["latency"]:
-            lat = int(row["latency_us"])
-            lat_by_hops.setdefault(row["hop_distance"], []).append(lat)
-            lat_by_frags.setdefault(row["frag_count"], []).append(lat)
-        for row in run["tables"]["loss_causes"]:
-            causes[row["cause"]] += int(row["count"])
-        node_rows = run["tables"]["node_counters"]
-        retrans_run_means.append(statistics.mean(
-            int(r["l2_retransmissions"]) for r in node_rows))
-        by_payload = {}
-        for r in node_rows:
-            by_payload.setdefault(r["payload"], []).append(
-                int(r["l2_retransmissions"]))
-            pktbuf_max = max(pktbuf_max, int(r["pktbuf_high_water"]))
-            where = "sink" if int(r["hop_distance"]) == 0 else "others"
-            for name in rbuf_counters:
-                rbuf["%s_%s" % (name, where)] += int(r[name])
-        for p, vals in by_payload.items():
-            per_payload[p]["l2_retransmissions_per_node"].append(
-                statistics.mean(vals))
-        violations += len(run["violations"])
+            entry["sent"].append(r.sent)
+            entry["delivered"].append(r.delivered)
+            entry["pdr"].append(r.pdr)
+            for hops, lat, _ in r.latency:
+                lat_by_hops.setdefault(str(hops), []).append(lat)
+                lat_by_frags.setdefault(str(r.frag_count), []).append(lat)
+            for cause, count in r.causes:
+                causes[cause] += count
+            retrans = [n.l2_retransmissions for n in r.nodes]
+            run_retrans += retrans
+            entry["l2_retransmissions_per_node"].append(
+                statistics.mean(retrans))
+            for n in r.nodes:
+                pktbuf_max = max(pktbuf_max, n.pktbuf_high_water)
+                where = "sink" if n.hop_distance == 0 else "others"
+                for name in rbuf_counters:
+                    rbuf["%s_%s" % (name, where)] += getattr(n, name)
+            violations += len(r.violations)
+        retrans_run_means.append(statistics.mean(run_retrans))
 
+    no_first = rbuf["rbuf_timeout_no_first_others"]
     others = rbuf["rbuf_timeout_others"]
+    rbuf["no_first_share_others"] = no_first / others if others else None
+    no_first += rbuf["rbuf_timeout_no_first_sink"]
     expired = rbuf["rbuf_timeout_sink"] + others
-    rbuf["no_first_share_others"] = (
-        rbuf["rbuf_timeout_no_first_others"] / others if others else None)
-    rbuf["no_first_share_all"] = (
-        (rbuf["rbuf_timeout_no_first_sink"]
-         + rbuf["rbuf_timeout_no_first_others"]) / expired
-        if expired else None)
+    rbuf["no_first_share_all"] = no_first / expired if expired else None
 
     for entry in per_payload.values():
         entry["pdr_mean"] = statistics.mean(entry["pdr"])
@@ -682,11 +714,11 @@ def aggregate_runs(paths):
 
     return {
         "version": 1,
-        "fingerprint": meta["fingerprint"],
-        "strategy": meta["strategy"],
-        "topology_sha256": meta["topology_sha256"],
+        "fingerprint": block["fingerprint"],
+        "strategy": block["strategy"],
+        "topology_sha256": block["topology_sha256"],
         "runs": len(runs),
-        "seeds": [int(s) for s in meta["seeds"].split(",")],
+        "seeds": _seeds(block),
         "per_payload": per_payload,
         "latency_by_hops": {k: _stats(v)
                             for k, v in sorted(lat_by_hops.items())},

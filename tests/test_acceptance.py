@@ -21,8 +21,8 @@ from lowpansim.buffers import ARENA_ENTRY_BYTES, NAIVE_ENTRY_BYTES, mem_usage
 from lowpansim.frag_codec import (Frag1Header, FragNHeader, decode_header,
                                   encode_header)
 from lowpansim.harness import (FRAG_COUNT_TABLE, STUDY_PAYLOADS, UNBOUNDED_ENTRIES,
-                               Scenario, aggregate_runs, run_experiment,
-                               frag_table_check)
+                               Scenario, aggregate_runs, read_run_file,
+                               run_experiment, frag_table_check)
 from lowpansim.link_mac import MacParams
 from lowpansim.node_stack import Node, NodeConfig, StackParams
 from lowpansim.sim_core import Medium, Simulator
@@ -48,7 +48,8 @@ def trend(tmp_path_factory):
         t0 = time.monotonic()
         paths = run_experiment(_trend_scenario(strategy), outdir)
         wall = time.monotonic() - t0
-        out[strategy] = (aggregate_runs(paths[:-1]), wall)
+        runs = [read_run_file(p) for p in paths[:-1]]
+        out[strategy] = (aggregate_runs(runs), wall)
     return out
 
 
@@ -77,7 +78,8 @@ def lossless(tmp_path_factory):
                                          arena_bytes=None))
         outdir = tmp_path_factory.mktemp("lossless-" + strategy)
         paths = run_experiment(scn, outdir)
-        out[strategy] = aggregate_runs(paths[:-1])
+        out[strategy] = aggregate_runs([read_run_file(p)
+                                        for p in paths[:-1]])
     return out
 
 

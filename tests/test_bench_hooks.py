@@ -12,6 +12,8 @@ import pytest
 
 from lowpansim import cli, harness
 
+from test_harness import line_topology, write_scenario
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # One FF datagram over a lossless 3-node line, scheduled with arguments,
@@ -34,22 +36,40 @@ sim.at(0, nodes[0].app_send, 176, 1)
 sim.run()
 print(nodes[2].counters.datagrams_delivered,
       tracer.counts["sim_core.events"], tracer.counts["medium.transmissions"])
+
+# A whole `lowpansim run`, which must simulate and fold through the
+# harness names that the tracer times.
+import contextlib
+import io
+import sys
+from lowpansim import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(code, tracer.times["harness.simulate_s"] > 0,
+      tracer.times["harness.aggregate_s"] > 0)
 """
 
 
-def test_benchmark_tracer_installs():
+def test_benchmark_tracer_installs(tmp_path):
     # perfbench/layers.py wraps entry points such as harness.run_one,
     # ReassemblyBuffer.insert and VrbTable.lookup by name; a rename would
     # otherwise surface only as failed benchmark operations.  Its wrapper
-    # of Simulator.at must also pass the scheduled call's arguments on.
+    # of Simulator.at must also pass the scheduled call's arguments on,
+    # and `run` must call harness.run_one and harness.aggregate_runs
+    # through the module, or their timers stay at zero.
+    scenario = write_scenario(tmp_path, line_topology(4))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", _TRACED_LINE],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_LINE, str(scenario),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    delivered, events, transmissions = map(int, proc.stdout.split())
+    line, run = proc.stdout.splitlines()
+    delivered, events, transmissions = map(int, line.split())
     assert delivered == 1
     assert events > 0 and transmissions > 0
+    assert run.split() == ["0", "True", "True"]
 
 
 class _SetupDone(Exception):

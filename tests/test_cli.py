@@ -26,8 +26,11 @@ def test_generate_topology_reproduces_the_packaged_fixture(tmp_path, capsys):
     assert out.read_bytes() == packaged.read_bytes()
 
 
-def test_run_and_aggregate_commands(tmp_path, capsys):
-    scn = write_scenario(tmp_path, line_topology(5), payloads=[80, 272],
+# 1232 bytes make 14 fragments: JSON keys "14" and "2" sort as text.
+@pytest.mark.parametrize("payloads", ([80, 272], [80, 1232]),
+                         ids=("80-272", "80-1232"))
+def test_run_and_aggregate_commands(tmp_path, capsys, payloads):
+    scn = write_scenario(tmp_path, line_topology(5), payloads=payloads,
                          seeds=[1, 2])
     outdir = tmp_path / "out"
     assert main(["run", "--scenario", str(scn), "--out", str(outdir)]) == 0
@@ -41,6 +44,51 @@ def test_run_and_aggregate_commands(tmp_path, capsys):
     assert agg2.read_bytes() == (outdir / "aggregate.json").read_bytes()
     data = json.loads(agg2.read_text())
     assert data["per_payload"]["80"]["pdr_mean"] == 1.0
+    for key in ("per_payload", "latency_by_frag_count"):
+        assert list(data[key]) == sorted(str(p) for p in data[key])
+    assert len(data["latency_by_frag_count"]) == 2
+
+
+def _edit_sent_column(text, edit):
+    """`text` with edit(cells, column of "sent", is header) applied to each
+    line of its [summary] table."""
+    lines = text.split("\n")
+    start = lines.index("[summary]") + 1
+    col = lines[start].split("\t").index("sent")
+    for i in range(start, lines.index("[latency]")):
+        lines[i] = "\t".join(edit(lines[i].split("\t"), col, i == start))
+    return "\n".join(lines)
+
+
+def test_malformed_run_files_exit_2(tmp_path, capsys):
+    scn = write_scenario(tmp_path, line_topology(4))
+    outdir = tmp_path / "out"
+    assert main(["run", "--scenario", str(scn), "--out", str(outdir)]) == 0
+    good = (outdir / "run-00.txt").read_text()
+    bad = {
+        "cut.txt": "".join(good.splitlines(keepends=True)[:3]),
+        "no_sent.txt": _edit_sent_column(
+            good, lambda cells, col, header: cells[:col] + cells[col + 1:]),
+        "text_sent.txt": _edit_sent_column(
+            good, lambda cells, col, header:
+            cells if header else cells[:col] + ["4.0"] + cells[col + 1:]),
+    }
+    lines = good.split("\n")
+    row = lines.index("[latency]") + 2          # first latency row
+    assert lines[row].startswith("80\t")
+    lines[row] = "176" + lines[row][2:]
+    bad["orphan_row.txt"] = "\n".join(lines)    # payload 176 has no summary
+    bad = {name: text.encode() for name, text in bad.items()}
+    bad["latin1.txt"] = good.replace("HWR", "H\xe9R").encode("latin-1")
+    for name, data in bad.items():
+        (tmp_path / name).write_bytes(data)
+        capsys.readouterr()
+        assert main(["aggregate", "--out", str(tmp_path / "agg.json"),
+                     str(tmp_path / name)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, name
+        assert len(err.splitlines()) == 1, name
+        assert not (tmp_path / "agg.json").exists()
 
 
 def test_configuration_errors_exit_2(tmp_path, capsys):
@@ -60,6 +108,15 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: force_link_pdr") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+    # A topology where every member is the sink or one hop from it has no
+    # datagram to send.
+    scn = write_scenario(tmp_path, line_topology(2))
+    assert main(["run", "--scenario", str(scn),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "no sender" in err and "Traceback" not in err
     assert len(err.splitlines()) == 1
 
     # A worker count that is not a positive integer is a usage error.

@@ -16,6 +16,7 @@ from importlib import resources
 import pytest
 
 from lowpansim.cli import main
+from lowpansim.harness import _render_run, aggregate_runs, read_run_file
 
 TOPOLOGY = resources.files("lowpansim.data") / "topology50.txt"
 COMMON = {"version": 1, "topology": "topology50.txt", "payloads": [80, 656],
@@ -105,3 +106,13 @@ def test_run_files_match_golden_digests(tmp_path, capsys, setting, strategy):
                % (name, expected.get(name), got.get(name))
                for name in sorted(set(got) | set(expected))]))
     assert code == 0
+
+    # Parsing the run files gives back the records they were rendered
+    # from: each renders to the same text, and their fold to the same
+    # aggregate.json as the fold of the records in memory.
+    paths = sorted(out.glob("run-*.txt"))
+    runs = [read_run_file(p) for p in paths]
+    for run, path in zip(runs, paths):
+        assert _render_run(run) == path.read_text(), path.name
+    folded = json.dumps(aggregate_runs(runs), sort_keys=True, indent=1) + "\n"
+    assert folded == (out / "aggregate.json").read_text()

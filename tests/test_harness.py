@@ -13,11 +13,11 @@ from dataclasses import fields
 import pytest
 
 from lowpansim import harness
-from lowpansim.harness import (Scenario, ScenarioError, FRAG_COUNT_TABLE,
-                               UNBOUNDED_ENTRIES, _render_run, aggregate_runs,
-                               load_scenario, run_experiment,
-                               frag_table_check, scenario_fingerprint,
-                               worker_count)
+from lowpansim.harness import (Run, Scenario, ScenarioError, FRAG_COUNT_TABLE,
+                               UNBOUNDED_ENTRIES, _render_run, _scenario_block,
+                               aggregate_runs, load_scenario, read_run_file,
+                               run_experiment, frag_table_check,
+                               scenario_fingerprint, worker_count)
 from lowpansim.link_mac import CCA_DUR_US, MacParams, airtime_us
 from lowpansim.node_stack import StackParams
 from lowpansim.topology import Topology, link_pdr, save_topology
@@ -124,8 +124,8 @@ def test_every_scenario_key_changes_fingerprint_and_run_file(tmp_path):
         scn = load_scenario(write_scenario(tmp_path, line_topology(4), **over))
         topo = scn.topology_path().read_bytes()
         fingerprint = scenario_fingerprint(scn, topo)
-        text = _render_run(scn, fingerprint, hashlib.sha256(topo).hexdigest(),
-                           0, 1, [], {})
+        text = _render_run(Run(_scenario_block(
+            scn, fingerprint, hashlib.sha256(topo).hexdigest(), 0, 1), []))
         return fingerprint, text[:text.index("[summary]")]
 
     base = identity()
@@ -309,7 +309,7 @@ def test_aggregate_single_run_equals_that_run(tmp_path):
     scn = load_scenario(write_scenario(tmp_path, line_topology(4)))
     files = run_experiment(scn, tmp_path / "out")
     runs = [p for p in files if p.name.startswith("run-")]
-    agg = aggregate_runs(runs)
+    agg = aggregate_runs([read_run_file(p) for p in runs])
     assert agg["runs"] == 1
     assert agg["per_payload"]["80"]["pdr"] == [1.0]
     assert agg["per_payload"]["80"]["pdr_mean"] == 1.0
@@ -320,7 +320,7 @@ def test_aggregate_identical_seeds_have_zero_variance(tmp_path):
         tmp_path, line_topology(5), seeds=[5, 5, 5], force_link_pdr=0.9))
     files = run_experiment(scn, tmp_path / "out")
     runs = [p for p in files if p.name.startswith("run-")]
-    agg = aggregate_runs(runs)
+    agg = aggregate_runs([read_run_file(p) for p in runs])
     pdrs = agg["per_payload"]["80"]["pdr"]
     assert len(set(pdrs)) == 1
 
@@ -331,7 +331,7 @@ def test_aggregate_matches_independent_fold(tmp_path):
         seeds=[1, 2, 3], force_link_pdr=0.9))
     runs = [p for p in run_experiment(scn, tmp_path / "out")
             if p.name.startswith("run-")]
-    agg = aggregate_runs(runs)
+    agg = aggregate_runs([read_run_file(p) for p in runs])
 
     # independent re-fold straight off the files
     pdrs, retrans = [], []
@@ -358,7 +358,7 @@ def test_aggregate_refuses_mixed_scenarios(tmp_path):
     mixed = ([p for p in f1 if p.name.startswith("run-")]
              + [p for p in f2 if p.name.startswith("run-")])
     with pytest.raises(ScenarioError):
-        aggregate_runs(mixed)
+        aggregate_runs([read_run_file(p) for p in mixed])
 
 
 def test_strategies_all_run_on_a_lossy_line(tmp_path):
