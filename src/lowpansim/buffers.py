@@ -1,4 +1,4 @@
-"""Reassembly buffer, shared packet arena, and fragmentation buffer.
+"""Deadline tables, the reassembly buffer, and the shared packet arena.
 
 Two memory-accounting models for reassembly storage:
 
@@ -9,9 +9,9 @@ Two memory-accounting models for reassembly storage:
   in a shared arena (packet buffer) as fragments arrive, so cost follows
   actual occupancy.
 
-The arena is also charged by the MAC for queued frames and by the queued
-forwarding variant for fragments parked in VRB entries; `mem_usage` only
-folds entry descriptors and arena occupancy into a byte count.
+The arena is also charged by the MAC for queued frames and by the VRB
+table for fragments parked in its entries; `mem_usage` only folds entry
+descriptors and arena occupancy into a byte count.
 """
 
 from typing import NamedTuple
@@ -94,18 +94,26 @@ class _Entry:
 
 
 class DeadlineTable:
-    """Bounded dict of entries that expire strictly after their `deadline`.
+    """Bounded dict of entries that live `lifetime_us` and expire strictly
+    after their `deadline`.
 
-    Subclasses define `_expire(entry, now)`, which removes one expired entry
-    and returns what `expire_due` reports for it.
+    Entries are never refreshed and time never goes back, so insertion
+    order is deadline order.  The table keeps at most one expiry event in
+    the simulator, at the earliest deadline + 1, armed by subclasses once
+    an entry is stored.  Subclasses define `_expire(entry, now)`, which
+    removes one expired entry.
     """
 
-    def __init__(self, capacity, counters, on_drop=None, arena=None):
+    def __init__(self, sim, capacity, lifetime_us, counters, on_drop=None,
+                 arena=None):
+        self.sim = sim
         self.capacity = capacity            # None = unbounded entries
+        self.lifetime_us = lifetime_us
         self.counters = counters
         self.on_drop = on_drop or (lambda dgram_id, cause, now: None)
         self.arena = arena
         self.entries = {}
+        self._armed = False
 
     @property
     def live_entries(self):
@@ -115,25 +123,30 @@ class DeadlineTable:
         return self.capacity is not None and len(self.entries) >= self.capacity
 
     def expire_due(self, now):
-        """Evict entries past their deadline (strictly); returns the
-        `_expire` result of each."""
-        expired = [e for e in self.entries.values() if now > e.deadline]
-        return [self._expire(e, now) for e in expired]
+        """Evict the entries past their deadline, earliest first."""
+        entries = self.entries
+        while entries:
+            entry = next(iter(entries.values()))
+            if now <= entry.deadline:
+                return
+            self._expire(entry, now)
 
-    def next_deadline(self):
-        if not self.entries:
-            return None
-        return min(e.deadline for e in self.entries.values())
+    def _arm(self):
+        """Schedule the expiry event unless one is pending.  A pending one
+        is never late: later entries have later deadlines."""
+        if not self._armed and self.entries:
+            self._armed = True
+            first = next(iter(self.entries.values()))
+            self.sim.at(first.deadline + 1, self._fire)
+
+    def _fire(self):
+        self._armed = False
+        self.expire_due(self.sim.now)
+        self._arm()
 
 
 class ReassemblyBuffer(DeadlineTable):
-    """Per-node fragment reassembly with timeout and arena accounting;
-    an expiry reports (key, seen_first_fragment)."""
-
-    def __init__(self, capacity, timeout_us, counters, arena=None,
-                 on_drop=None):
-        super().__init__(capacity, counters, on_drop, arena)
-        self.timeout_us = timeout_us
+    """Per-node fragment reassembly with timeout and arena accounting."""
 
     def _discard(self, entry):
         del self.entries[entry.key]
@@ -141,28 +154,23 @@ class ReassemblyBuffer(DeadlineTable):
             self.arena.free(entry.received_bytes)
 
     def _expire(self, entry, now):
-        seen_first = bool(entry.intervals) and entry.intervals[0][0] == 0
         self._discard(entry)
         self.counters.rbuf_timeout += 1
-        if not seen_first:
+        if not (entry.intervals and entry.intervals[0][0] == 0):
             self.counters.rbuf_timeout_no_first += 1
         self.on_drop(entry.dgram_id, "rbuf_timeout", now)
-        return (entry.key, seen_first)
 
     def insert(self, key, offset, payload, now, dgram_id):
-        """Insert a fragment; returns (status, value).
-
-        status is "stored" (value None), "completed" (value datagram bytes)
-        or "dropped" (value is the loss cause).
-        """
+        """Insert a fragment; returns the datagram bytes once complete,
+        else None (stored, or dropped with its cause reported)."""
         self.expire_due(now)
         entry = self.entries.get(key)
         if entry is None:
             if self.full():
                 self.counters.rbuf_full += 1
                 self.on_drop(dgram_id, "rbuf_full", now)
-                return ("dropped", "rbuf_full")
-            entry = _Entry(key, dgram_id, now + self.timeout_us)
+                return None
+            entry = _Entry(key, dgram_id, now + self.lifetime_us)
             self.entries[key] = entry
         end = offset + len(payload)
         spans = entry.new_spans(offset, end)
@@ -174,16 +182,16 @@ class ReassemblyBuffer(DeadlineTable):
                 self._discard(entry)
                 self.counters.pktbuf_full += 1
                 self.on_drop(entry.dgram_id, "pktbuf_full", now)
-                return ("dropped", "pktbuf_full")
+                return None
             for a, b in spans:
                 entry.data[a:b] = payload[a - offset:b - offset]
             entry.intervals = _merge(entry.intervals, spans)
             entry.received_bytes += new_bytes
         if entry.received_bytes == key.datagram_size:
-            datagram = bytes(entry.data)
             self._discard(entry)
-            return ("completed", datagram)
-        return ("stored", None)
+            return bytes(entry.data)
+        self._arm()
+        return None
 
 
 def _merge(intervals, spans):
@@ -196,26 +204,3 @@ def _merge(intervals, spans):
         else:
             out.append([a, b])
     return [(a, b) for a, b in out]
-
-
-class FragmentationBuffer:
-    """Bounded set of concurrent local fragmentation operations."""
-
-    __slots__ = ("capacity", "slots")
-
-    def __init__(self, capacity):
-        self.capacity = capacity            # None = unbounded
-        self.slots = set()
-
-    @property
-    def live_slots(self):
-        return len(self.slots)
-
-    def acquire(self, job):
-        if self.capacity is not None and len(self.slots) >= self.capacity:
-            return False
-        self.slots.add(job)
-        return True
-
-    def release(self, job):
-        self.slots.discard(job)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 from .harness import (ScenarioError, aggregate_runs, load_scenario,
                       read_run_file, run_experiment, frag_table_check)
-from .topology import (GenerationError, TopologyFileError, find_topology,
-                       grid_office_plan, save_topology)
+from .topology import (GenerationError, TopologyFileError,
+                       TopologyRequestError, find_topology, grid_office_plan,
+                       save_topology)
 
 
 def _cmd_generate(args):
@@ -33,8 +34,7 @@ def _positive_int(text):
 
 def _cmd_run(args):
     scenario = load_scenario(args.scenario)
-    paths = run_experiment(scenario, args.out, args.jobs)
-    agg = json.loads((Path(args.out) / "aggregate.json").read_text())
+    paths, agg = run_experiment(scenario, args.out, args.jobs)
     for payload, entry in sorted(agg["per_payload"].items(),
                                  key=lambda kv: int(kv[0])):
         print("payload %s: %d fragment(s), mean pdr %.3f over %d run(s)"
@@ -106,7 +106,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, GenerationError, TopologyFileError, OSError) as err:
+    except (ScenarioError, GenerationError, TopologyFileError,
+            TopologyRequestError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -462,7 +462,7 @@ def _simulate(scenario, topo, seed, payload):
                               % (nid, node.arena.used))
         if node.rbuf.live_entries or node.vrb.live_entries:
             violations.append("node %d still holds reassembly state" % nid)
-        if node.frag_buf.live_slots or node.mac.queue or node.mac.current:
+        if node.frag_jobs or node.mac.queue or node.mac.current:
             violations.append("node %d still holds frames" % nid)
     return result
 
@@ -552,7 +552,7 @@ def _render_run(run):
 def run_experiment(scenario, outdir, jobs=None):
     """Simulate every (seed, payload) pair on up to `jobs` worker processes
     (None: every usable CPU); write one metrics file per seed plus
-    aggregate.json. Returns the written paths."""
+    aggregate.json. Returns the written paths and the aggregate."""
     topo = load_topology(scenario.topology_path())
     if not topo.senders():
         raise ScenarioError("topology %s has no sender: every member is the "
@@ -569,10 +569,10 @@ def run_experiment(scenario, outdir, jobs=None):
     paths = [outdir / ("run-%02d.txt" % i) for i in range(len(runs))]
     for run, path in zip(runs, paths):
         path.write_text(_render_run(run))
+    agg = aggregate_runs(runs)
     agg_path = outdir / "aggregate.json"
-    agg_path.write_text(json.dumps(aggregate_runs(runs), sort_keys=True,
-                                   indent=1) + "\n")
-    return paths + [agg_path]
+    agg_path.write_text(json.dumps(agg, sort_keys=True, indent=1) + "\n")
+    return paths + [agg_path], agg
 
 
 def read_run_file(path):

@@ -20,8 +20,7 @@ fate to the first thing that went wrong.
 import hashlib
 from dataclasses import dataclass, replace
 
-from .buffers import (DatagramKey, FragmentationBuffer, PacketArena,
-                      ReassemblyBuffer)
+from .buffers import DatagramKey, PacketArena, ReassemblyBuffer
 from .frag_codec import (CompressionHeader, Frag1Header, FragNHeader,
                          Fragment, fragment_datagram, refragment_first)
 from .link_mac import Frame, Mac
@@ -78,14 +77,14 @@ class StackParams:
 
 
 class _FragJob:
-    """One local fragmentation; holds its tag until all frames left the MAC."""
+    """One local fragmentation; holds its tag and a fragmentation slot
+    until all its frames left the MAC."""
 
-    __slots__ = ("dgram_id", "next_hop", "tag", "remaining")
+    __slots__ = ("next_hop", "tag", "remaining")
 
-    def __init__(self, dgram_id, next_hop):
-        self.dgram_id = dgram_id
+    def __init__(self, next_hop, tag):
         self.next_hop = next_hop
-        self.tag = None
+        self.tag = tag
         self.remaining = 0
 
 
@@ -108,15 +107,15 @@ class Node:
         self.comp = CompressionHeader(self.stack.comp_header_bytes)
         self.strategy = STRATEGIES[config.strategy]
         self.tags = TagAllocator()
-        self.rbuf = ReassemblyBuffer(config.rbuf_entries,
+        self.rbuf = ReassemblyBuffer(sim, config.rbuf_entries,
                                      self.stack.reassembly_timeout_us,
-                                     self.counters, arena=self.arena,
-                                     on_drop=self._note_drop)
-        self.vrb = VrbTable(config.vrb_entries, self.stack.vrb_lifetime_us,
-                            self.counters, self.tags,
-                            on_drop=self._note_drop, arena=self.arena)
-        self.frag_buf = FragmentationBuffer(self.stack.frag_buffer_slots)
-        self._timer_at = {}              # table -> time of its expiry event
+                                     self.counters, on_drop=self._note_drop,
+                                     arena=self.arena)
+        self.vrb = VrbTable(sim, config.vrb_entries,
+                            self.stack.vrb_lifetime_us, self.counters,
+                            self.tags, on_drop=self._note_drop,
+                            arena=self.arena)
+        self.frag_jobs = 0               # live local fragmentation jobs
 
     # -- sending --------------------------------------------------------
 
@@ -127,14 +126,14 @@ class Node:
         return self._send_fragments(datagram, dgram_id)
 
     def _send_fragments(self, datagram, dgram_id):
-        now = self.sim.now
         next_hop = self.config.route_next_hop
-        job = _FragJob(dgram_id, next_hop)
-        if not self.frag_buf.acquire(job):
+        slots = self.stack.frag_buffer_slots
+        if slots is not None and self.frag_jobs >= slots:
             self.counters.frag_buf_full += 1
-            self._note_drop(dgram_id, "frag_buf_full", now)
+            self._note_drop(dgram_id, "frag_buf_full", self.sim.now)
             return False
-        job.tag = self.tags.acquire(next_hop)
+        self.frag_jobs += 1
+        job = _FragJob(next_hop, self.tags.acquire(next_hop))
         frags = fragment_datagram(datagram, self.comp, job.tag, self.sdu,
                                   self.strategy.policy)
         job.remaining = len(frags)
@@ -150,7 +149,7 @@ class Node:
         if job is not None:
             job.remaining -= 1
             if job.remaining == 0:
-                self.frag_buf.release(job)
+                self.frag_jobs -= 1
                 self.tags.release(job.next_hop, job.tag)
 
     def _note_drop(self, dgram_id, cause, now):
@@ -190,16 +189,15 @@ class Node:
             self.on_datagram(dgram_id, bytes(datagram), now)
 
     def _reassemble_step(self, key, frag, dgram_id, now):
-        status, value = self.rbuf.insert(key, frag.offset, frag.payload, now,
-                                         dgram_id)
-        if status == "completed":
-            if self.config.route_next_hop is None:
-                self._deliver_up(dgram_id, value, now)
-            else:
-                self.counters.datagrams_forwarded += 1
-                self._send_fragments(value, dgram_id)
-        elif status == "stored":
-            self._arm_timer(self.rbuf)
+        datagram = self.rbuf.insert(key, frag.offset, frag.payload, now,
+                                    dgram_id)
+        if datagram is None:
+            return
+        if self.config.route_next_hop is None:
+            self._deliver_up(dgram_id, datagram, now)
+        else:
+            self.counters.datagrams_forwarded += 1
+            self._send_fragments(datagram, dgram_id)
 
     # -- fragment forwarding ---------------------------------------------
 
@@ -215,14 +213,13 @@ class Node:
         if entry is None:                # table full: reassemble instead
             self._reassemble_step(key, frag, dgram_id, now)
             return
-        self._arm_timer(self.vrb)
         entry.covered_bytes = len(frag.payload)
         outs = [replace(out, header=replace(out.header,
                                             datagram_tag=entry.out_tag))
                 for out in refragment_first(frag, self.comp, self.sdu)]
         if not self.strategy.queue:
             self.counters.datagrams_forwarded += 1
-        self._vrb_emit(entry, outs, dgram_id, now)
+        self._vrb_emit(entry, outs, dgram_id)
 
     def _ff_rest(self, key, frag, dgram_id, now):
         entry = self.vrb.lookup(key, now)
@@ -233,11 +230,11 @@ class Node:
         out = Fragment(FragNHeader(header.datagram_size, entry.out_tag,
                                    header.offset_units), frag.payload)
         entry.covered_bytes += len(frag.payload)
-        if self._vrb_emit(entry, [out], dgram_id, now):
+        if self._vrb_emit(entry, [out], dgram_id):
             if entry.covered_bytes >= key.datagram_size:
                 self._vrb_flush(entry)
 
-    def _vrb_emit(self, entry, frags, dgram_id, now):
+    def _vrb_emit(self, entry, frags, dgram_id):
         """Send right away (FF) or park in the entry queue (FF_QUEUED)."""
         me = self.config.id
         frames = [Frame(me, entry.next_hop, f, dgram_id, None) for f in frags]
@@ -245,43 +242,13 @@ class Node:
             for fr in frames:
                 self.mac.send(fr)
             return True
-        for fr in frames:
-            wire = self.mac.wire_size(fr)
-            if not self.arena.alloc(wire):
-                self.counters.pktbuf_full += 1
-                self.vrb.remove(entry.key)   # frees queued charge and tag
-                self._note_drop(dgram_id, "pktbuf_full", now)
-                return False
-            entry.queued.append(fr)
-            entry.queued_wire_bytes += wire
-        return True
+        return all(self.vrb.enqueue(entry, fr, self.mac.wire_size(fr))
+                   for fr in frames)
 
     def _vrb_flush(self, entry):
         """The datagram has fully passed; release (and drain) the entry."""
-        frames = entry.queued
-        entry.queued = []
-        entry.queued_wire_bytes = 0
-        self.vrb.remove(entry.key)
-        if frames:
+        self.vrb.remove(entry.key)       # the MAC re-charges each frame
+        if entry.queued:
             self.counters.datagrams_forwarded += 1
-            for fr in frames:
-                self.arena.free(self.mac.wire_size(fr))   # MAC re-charges
+            for fr in entry.queued:
                 self.mac.send(fr)
-
-    # -- buffer expiry ----------------------------------------------------
-
-    def _arm_timer(self, table):
-        deadline = table.next_deadline()
-        if deadline is None:
-            return
-        t = deadline + 1                 # expiry is strictly past-deadline
-        armed = self._timer_at.get(table)
-        if armed is not None and armed <= t:
-            return
-        self._timer_at[table] = t
-        self.sim.at(t, self._timer_fire, table)
-
-    def _timer_fire(self, table):
-        self._timer_at[table] = None
-        table.expire_due(self.sim.now)
-        self._arm_timer(table)

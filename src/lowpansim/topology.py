@@ -23,6 +23,10 @@ class GenerationError(RuntimeError):
     """The plan could not yield an acceptable topology; try another seed."""
 
 
+class TopologyRequestError(ValueError):
+    """A sink or member target that no seed of the plan can satisfy."""
+
+
 class TopologyFileError(ValueError):
     pass
 
@@ -111,6 +115,9 @@ class Topology:
         self.links = dict(links)
         if sink not in self.positions:
             raise ValueError("sink %d is not a member" % sink)
+        for nid, pos in self.positions.items():
+            if not all(math.isfinite(c) for c in pos):
+                raise ValueError("non-finite coordinate for node %d" % nid)
         ids = set(self.positions)
         if set(self.routes) != ids - {sink}:
             raise ValueError("routes must cover every member but the sink")
@@ -157,9 +164,10 @@ def _member_links(positions):
 def build_topology(plan, sink, seed, member_target=MEMBER_TARGET):
     """Sample a routing tree from the plan by the breadth first walk."""
     if sink not in plan.positions:
-        raise ValueError("sink %d not in plan" % sink)
+        raise TopologyRequestError("sink %d not in plan" % sink)
     if member_target < 3:
-        raise ValueError("member_target must fit the sink and its two picks")
+        raise TopologyRequestError("member target %d cannot fit the sink and "
+                                   "its two picks" % member_target)
     rng = random.Random(seed)
     visited = {sink}
     routes = {}
@@ -240,8 +248,11 @@ def load_topology(path):
     positions = {}
     routes = {}
     links = {}
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise TopologyFileError("%s: not ASCII: %s" % (path, err)) from None
     if not raw or raw[0].strip() != "topology v1":
         raise TopologyFileError("line 1: expected header 'topology v1'")
     for lineno, line in enumerate(raw[1:], start=2):
@@ -252,6 +263,8 @@ def load_topology(path):
         try:
             kind = parts[0]
             if kind == "sink" and len(parts) == 2:
+                if sink is not None:
+                    raise _parse_error(lineno, "second sink line")
                 sink = int(parts[1])
             elif kind == "node" and len(parts) == 5:
                 nid = int(parts[1])
@@ -265,6 +278,8 @@ def load_topology(path):
                 routes[child] = parent
             elif kind == "link" and len(parts) == 4:
                 a, b = int(parts[1]), int(parts[2])
+                if (a, b) in links:
+                    raise _parse_error(lineno, "duplicate link %d %d" % (a, b))
                 links[(a, b)] = float(parts[3])
             else:
                 raise _parse_error(lineno, "unrecognized line %r" % line)

@@ -59,12 +59,12 @@ class VrbEntry:
 
 
 class VrbTable(DeadlineTable):
-    """Bounded table of VRB entries; an expiry reports the entry."""
+    """Bounded table of VRB entries; it owns the arena charge of the frames
+    parked in them."""
 
-    def __init__(self, capacity, lifetime_us, counters, allocator,
+    def __init__(self, sim, capacity, lifetime_us, counters, allocator,
                  on_drop=None, arena=None):
-        super().__init__(capacity, counters, on_drop, arena)
-        self.lifetime_us = lifetime_us
+        super().__init__(sim, capacity, lifetime_us, counters, on_drop, arena)
         self.allocator = allocator
 
     def _release(self, entry):
@@ -79,10 +79,10 @@ class VrbTable(DeadlineTable):
         self.counters.vrb_expired += 1
         if entry.queued:
             self.on_drop(entry.dgram_id, "vrb_expired", now)
-        return entry
 
     def remove(self, key):
-        """Drop an entry without expiry bookkeeping (datagram done)."""
+        """Drop an entry without expiry bookkeeping (datagram done); its
+        queued frames stay on it, their arena charge is freed."""
         entry = self.entries.get(key)
         if entry is not None:
             self._release(entry)
@@ -100,7 +100,21 @@ class VrbTable(DeadlineTable):
         entry = VrbEntry(key, next_hop, out_tag, now + self.lifetime_us,
                          dgram_id)
         self.entries[key] = entry
+        self._arm()
         return entry
+
+    def enqueue(self, entry, frame, wire):
+        """Park `frame` on the entry, charging `wire` bytes to the arena.
+        Without room the entry goes and the frame's datagram is dropped;
+        returns whether the frame was parked."""
+        if self.arena is not None and not self.arena.alloc(wire):
+            self.counters.pktbuf_full += 1
+            self.remove(entry.key)
+            self.on_drop(frame.dgram_id, "pktbuf_full", self.sim.now)
+            return False
+        entry.queued.append(frame)
+        entry.queued_wire_bytes += wire
+        return True
 
     def lookup(self, key, now):
         """Live entry for key, or None (expired entries are evicted)."""

@@ -1,7 +1,9 @@
 """Acceptance checks, one test per criterion.
 
 `pytest -v tests/test_acceptance.py` prints one PASSED/FAILED line per
-criterion; add -rA to also see the measured values each test prints.
+criterion; add -rA to also see the measured values each test prints.  The
+criteria that run whole experiments are marked `slow`; `-m "not slow"`
+leaves them out.
 
 The lossy trend criteria (a05-a09) share three experiment runs, one per
 forwarding strategy, on the packaged 50-node topology: all fourteen payload
@@ -46,7 +48,7 @@ def trend(tmp_path_factory):
     for strategy in STRATEGIES:
         outdir = tmp_path_factory.mktemp("trend-" + strategy)
         t0 = time.monotonic()
-        paths = run_experiment(_trend_scenario(strategy), outdir)
+        paths, _ = run_experiment(_trend_scenario(strategy), outdir)
         wall = time.monotonic() - t0
         runs = [read_run_file(p) for p in paths[:-1]]
         out[strategy] = (aggregate_runs(runs), wall)
@@ -77,7 +79,7 @@ def lossless(tmp_path_factory):
                        stack=StackParams(frag_buffer_slots=None,
                                          arena_bytes=None))
         outdir = tmp_path_factory.mktemp("lossless-" + strategy)
-        paths = run_experiment(scn, outdir)
+        paths, _ = run_experiment(scn, outdir)
         out[strategy] = aggregate_runs([read_run_file(p)
                                         for p in paths[:-1]])
     return out
@@ -120,6 +122,7 @@ def test_a03_memory_accounting_exact():
     print("a03 memory accounting: PASS (naive n*1302, arena n*22, exact)")
 
 
+@pytest.mark.slow
 def test_a04_lossless_pdr_is_exactly_one(lossless):
     bad = []
     for strategy in STRATEGIES:
@@ -133,6 +136,7 @@ def test_a04_lossless_pdr_is_exactly_one(lossless):
     assert bad == []
 
 
+@pytest.mark.slow
 def test_a05_ff_reliability_collapse(trend):
     hwr, hwr_wall = trend["HWR"]
     ff, ff_wall = trend["FF"]
@@ -156,6 +160,7 @@ def test_a05_ff_reliability_collapse(trend):
     assert above == {}, "FF PDR not below half of HWR at: %r" % above
 
 
+@pytest.mark.slow
 def test_a06_ff_retransmission_gap(trend):
     hwr, _ = trend["HWR"]
     ff, _ = trend["FF"]
@@ -209,6 +214,7 @@ def _line_trace(strategy, payload):
     return order, got
 
 
+@pytest.mark.slow
 def test_a07_queued_ff_tracks_hwr(trend):
     hwr, _ = trend["HWR"]
     ffq, ffq_wall = trend["FF_QUEUED"]
@@ -239,6 +245,7 @@ def test_a07_queued_ff_tracks_hwr(trend):
         % (worst[1] * 100, worst[0])
 
 
+@pytest.mark.slow
 def test_a08_first_fragment_missing_share(trend):
     # On forwarders specifically.  Their reassembly entries exist only via
     # the mapping-table-full fallback, and an orphaned trailing fragment is
@@ -256,6 +263,7 @@ def test_a08_first_fragment_missing_share(trend):
     assert ok, "forwarder share %r outside 0.30-0.80" % share
 
 
+@pytest.mark.slow
 def test_a09_rbuf_full_ratio(trend):
     def fulls(agg):
         return agg["rbuf"]["rbuf_full_sink"] + agg["rbuf"]["rbuf_full_others"]
@@ -267,6 +275,7 @@ def test_a09_rbuf_full_ratio(trend):
     assert ok, "rbuf-full ratio %.3f outside (0.5, 1.0)" % ratio
 
 
+@pytest.mark.slow
 def test_a10_invariants_zero_violations(trend, lossless):
     counts = {s: trend[s][0]["violations"] for s in STRATEGIES}
     counts.update({"lossless-" + s: lossless[s]["violations"]
@@ -277,13 +286,14 @@ def test_a10_invariants_zero_violations(trend, lossless):
     assert total == 0
 
 
+@pytest.mark.slow
 def test_a11_deterministic_outputs(tmp_path):
     scn = Scenario(topology=str(TOPOLOGY), strategy="FF",
                    payloads=(80, 656), interval_us=(5_000_000, 10_000_000),
                    seeds=(1,), packets_per_source=100)
     digests = []
     for name in ("first", "second"):
-        paths = run_experiment(scn, tmp_path / name)
+        paths, _ = run_experiment(scn, tmp_path / name)
         digests.append([(p.name, hashlib.sha256(p.read_bytes()).hexdigest())
                         for p in paths])
     print("a11 determinism: %s (%d files byte-identical)"

@@ -35,6 +35,7 @@ def test_run_and_aggregate_commands(tmp_path, capsys, payloads):
     outdir = tmp_path / "out"
     assert main(["run", "--scenario", str(scn), "--out", str(outdir)]) == 0
     text = capsys.readouterr().out
+    assert "payload 80: 2 fragment(s), mean pdr 1.000 over 2 run(s)" in text
     assert "violations: 0" in text
     runs = sorted(str(p) for p in outdir.glob("run-*.txt"))
     assert len(runs) == 2
@@ -119,6 +120,16 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     assert "no sender" in err and "Traceback" not in err
     assert len(err.splitlines()) == 1
 
+    # A topology file with a byte outside ASCII.
+    scn = write_scenario(tmp_path, line_topology(3))
+    net = tmp_path / "net.txt"
+    net.write_bytes(net.read_bytes() + b"# caf\xe9\n")
+    assert main(["run", "--scenario", str(scn),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not ASCII" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
     # A worker count that is not a positive integer is a usage error.
     scn = write_scenario(tmp_path, line_topology(3))
     for jobs in ("0", "-1", "x"):
@@ -143,3 +154,17 @@ def test_aggregate_refuses_mixed_inputs_via_cli(tmp_path, capsys):
     assert main(["aggregate", "--out", str(tmp_path / "agg.json")]
                 + runs) == 2
     assert "mixed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--members", "2"], "member target 2"),
+    (["--sink", "999"], "sink 999 not in plan"),
+], ids=("members-2", "sink-999"))
+def test_generate_topology_bad_request_exits_2(tmp_path, capsys, flags,
+                                               message):
+    out = tmp_path / "net.txt"
+    assert main(["generate-topology", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()

@@ -142,7 +142,7 @@ def test_lossless_line_exact_latency(tmp_path):
         tmp_path, line_topology(4), payloads=[16], packets_per_source=1,
         mac={"min_be": 0, "max_be": 0}))
     out = tmp_path / "out"
-    files = run_experiment(scn, out)
+    files, _ = run_experiment(scn, out)
     run_file = [p for p in files if p.name.startswith("run-")][0]
     text = run_file.read_text()
     assert "violation\t" not in text
@@ -179,7 +179,7 @@ def test_serialized_sends_keep_the_channel_quiet(tmp_path):
         serialize_sends=True, interval_us=[50000, 60000],
         mac={"min_be": 0, "max_be": 0}))
     assert scn.serialize_sends is True
-    files = run_experiment(scn, tmp_path / "out")
+    files, _ = run_experiment(scn, tmp_path / "out")
     text = [p for p in files if p.name.startswith("run-")][0].read_text()
     assert "serialize_sends\ttrue" in text
     assert "violation\t" not in text
@@ -194,8 +194,8 @@ def test_run_is_byte_identical_on_rerun(tmp_path):
         tmp_path, line_topology(5), payloads=[80, 272],
         packets_per_source=3, seeds=[7, 8], force_link_pdr=0.9))
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    files1 = run_experiment(scn, d1)
-    files2 = run_experiment(scn, d2)
+    files1, _ = run_experiment(scn, d1)
+    files2, _ = run_experiment(scn, d2)
     assert [p.name for p in files1] == [p.name for p in files2]
     for p1, p2 in zip(files1, files2):
         h1 = hashlib.sha256(p1.read_bytes()).hexdigest()
@@ -226,9 +226,9 @@ def test_run_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     # Two usable CPUs, so that jobs=2 starts a pool on any host.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    pooled = _digests(run_experiment(scn, tmp_path / "pool", jobs=2))
+    pooled = _digests(run_experiment(scn, tmp_path / "pool", jobs=2)[0])
     seen = _counting_simulate(monkeypatch)
-    single = _digests(run_experiment(scn, tmp_path / "one", jobs=1))
+    single = _digests(run_experiment(scn, tmp_path / "one", jobs=1)[0])
     assert len(seen) == 4            # the repeated seed is simulated once
     assert single == pooled
     assert sorted(single) == ["aggregate.json", "run-00.txt", "run-01.txt",
@@ -294,7 +294,7 @@ def test_lossy_run_conserves_every_datagram(tmp_path):
         tmp_path, line_topology(6), payloads=[272], packets_per_source=5,
         seeds=[3], force_link_pdr=0.8,
         mac={"max_retransmissions": 1}))
-    files = run_experiment(scn, tmp_path / "out")
+    files, _ = run_experiment(scn, tmp_path / "out")
     text = [p for p in files if p.name.startswith("run-")][0].read_text()
     assert "violation\t" not in text
     summary = _section(text, "summary")[0]
@@ -307,7 +307,7 @@ def test_lossy_run_conserves_every_datagram(tmp_path):
 
 def test_aggregate_single_run_equals_that_run(tmp_path):
     scn = load_scenario(write_scenario(tmp_path, line_topology(4)))
-    files = run_experiment(scn, tmp_path / "out")
+    files, _ = run_experiment(scn, tmp_path / "out")
     runs = [p for p in files if p.name.startswith("run-")]
     agg = aggregate_runs([read_run_file(p) for p in runs])
     assert agg["runs"] == 1
@@ -318,7 +318,7 @@ def test_aggregate_single_run_equals_that_run(tmp_path):
 def test_aggregate_identical_seeds_have_zero_variance(tmp_path):
     scn = load_scenario(write_scenario(
         tmp_path, line_topology(5), seeds=[5, 5, 5], force_link_pdr=0.9))
-    files = run_experiment(scn, tmp_path / "out")
+    files, _ = run_experiment(scn, tmp_path / "out")
     runs = [p for p in files if p.name.startswith("run-")]
     agg = aggregate_runs([read_run_file(p) for p in runs])
     pdrs = agg["per_payload"]["80"]["pdr"]
@@ -329,7 +329,7 @@ def test_aggregate_matches_independent_fold(tmp_path):
     scn = load_scenario(write_scenario(
         tmp_path, line_topology(6), payloads=[272], packets_per_source=4,
         seeds=[1, 2, 3], force_link_pdr=0.9))
-    runs = [p for p in run_experiment(scn, tmp_path / "out")
+    runs = [p for p in run_experiment(scn, tmp_path / "out")[0]
             if p.name.startswith("run-")]
     agg = aggregate_runs([read_run_file(p) for p in runs])
 
@@ -353,8 +353,8 @@ def test_aggregate_refuses_mixed_scenarios(tmp_path):
     s1 = load_scenario(write_scenario(tmp_path, topo, name="a.json"))
     s2 = load_scenario(write_scenario(tmp_path, topo, name="b.json",
                                       payloads=[176]))
-    f1 = run_experiment(s1, tmp_path / "o1")
-    f2 = run_experiment(s2, tmp_path / "o2")
+    f1, _ = run_experiment(s1, tmp_path / "o1")
+    f2, _ = run_experiment(s2, tmp_path / "o2")
     mixed = ([p for p in f1 if p.name.startswith("run-")]
              + [p for p in f2 if p.name.startswith("run-")])
     with pytest.raises(ScenarioError):
@@ -367,6 +367,6 @@ def test_strategies_all_run_on_a_lossy_line(tmp_path):
             tmp_path, line_topology(5), name="s_%s.json" % strategy,
             strategy=strategy, payloads=[272], packets_per_source=3,
             seeds=[2], force_link_pdr=0.95))
-        files = run_experiment(scn, tmp_path / ("out_" + strategy))
+        files, _ = run_experiment(scn, tmp_path / ("out_" + strategy))
         text = [p for p in files if p.name.startswith("run-")][0].read_text()
         assert "violation\t" not in text, strategy

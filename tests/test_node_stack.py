@@ -246,6 +246,39 @@ def test_fragmentation_buffer_full_drops_datagram():
     assert line.got == []
 
 
+def test_fragmentation_slot_freed_once_frames_left_the_mac():
+    line = Line(2, "HWR", stack=StackParams(frag_buffer_slots=1))
+    src = line.nodes[0]
+    jobs = []
+    line.send(272, 1, at=0)
+    line.sim.at(1, lambda: jobs.append(src.frag_jobs))
+    line.send(272, 2, at=1)                      # 4 frames still in the MAC
+    line.send(272, 3, at=1_000_000)              # long after they left
+    line.run()
+    assert jobs == [1]
+    assert src.counters.frag_buf_full == 1
+    assert line.drops == [(0, 2, "frag_buf_full")]
+    assert [g[0] for g in line.got] == [1, 3]
+    assert src.frag_jobs == 0
+
+
+def test_ff_queued_arena_drains_after_enqueue_failure():
+    # Room for two queued frames only: the third fragment finds the arena
+    # full, which drops the datagram and frees everything queued so far.
+    # The last fragment then finds no entry and times out in the rbuf.
+    frags, _ = source_frags()
+    wire = DET.l2_overhead + max(f.content_len for f in frags)
+    line = Line(3, "FF_QUEUED", stack=StackParams(arena_bytes=2 * wire + 1))
+    inject(line, frags, [0, 1, 2, 3], [0, 3000, 6000, 9000])
+    line.run()
+    fwd = line.nodes[1]
+    assert fwd.counters.pktbuf_full == 1
+    assert line.drops == [(1, 42, "pktbuf_full"), (1, 42, "rbuf_timeout")]
+    assert fwd.arena.used == 0 and 0 < fwd.arena.high_water <= 2 * wire + 1
+    assert fwd.vrb.live_entries == 0 and fwd.rbuf.live_entries == 0
+    assert line.got == []
+
+
 def test_mac_exhaustion_is_attributed_to_the_datagram():
     line = Line(3, "HWR")
     line.nodes[2].mac.tx_until = 10 ** 12    # sink radio never listens

@@ -2,19 +2,22 @@
 
 import pytest
 
-from lowpansim.buffers import DatagramKey
+from lowpansim.buffers import DatagramKey, PacketArena
+from lowpansim.link_mac import Frame
 from lowpansim.metrics import NodeCounters
+from lowpansim.sim_core import Simulator
 from lowpansim.vrb import TagAllocator, VrbTable
 
 LIFETIME = 10_000_000  # us
 
 
-def make_table(capacity=16, drops=None):
+def make_table(capacity=16, drops=None, arena=None):
     counters = NodeCounters()
     sink = drops if drops is not None else []
-    table = VrbTable(capacity=capacity, lifetime_us=LIFETIME,
+    table = VrbTable(Simulator(), capacity=capacity, lifetime_us=LIFETIME,
                      counters=counters, allocator=TagAllocator(),
-                     on_drop=lambda did, cause, now: sink.append((did, cause)))
+                     on_drop=lambda did, cause, now: sink.append((did, cause)),
+                     arena=arena)
     return table, counters, sink
 
 
@@ -81,8 +84,8 @@ def test_expire_due_drops_queued_fragments():
     q = table.create(key(5), next_hop=2, now=0, dgram_id=1)
     q.queued.append("frame")
     table.create(key(6), next_hop=2, now=0, dgram_id=2)  # nothing queued
-    expired = table.expire_due(LIFETIME + 1)
-    assert len(expired) == 2
+    table.expire_due(LIFETIME + 1)
+    assert table.live_entries == 0
     assert counters.vrb_expired == 2
     # Only the entry holding undelivered fragments dooms its datagram.
     assert drops == [(1, "vrb_expired")]
@@ -126,16 +129,41 @@ def test_remove_releases_slot_and_tag_silently():
     assert table.remove(key(99)) is None
 
 
-def test_eviction_frees_queued_arena_charge():
-    from lowpansim.buffers import PacketArena
+def frame(dgram_id):
+    return Frame(9, 2, None, dgram_id)
 
+
+def test_eviction_frees_queued_arena_charge():
     arena = PacketArena(None)
-    counters = NodeCounters()
-    table = VrbTable(capacity=4, lifetime_us=LIFETIME, counters=counters,
-                     allocator=TagAllocator(), arena=arena)
+    table, counters, _ = make_table(capacity=4, arena=arena)
     entry = table.create(key(5), next_hop=2, now=0, dgram_id=1)
-    arena.alloc(300)
-    entry.queued_wire_bytes = 300
+    assert table.enqueue(entry, frame(1), 100)
+    assert table.enqueue(entry, frame(1), 200)
+    assert arena.used == 300
     table.expire_due(LIFETIME + 1)
     assert arena.used == 0
     assert counters.vrb_expired == 1
+
+
+def test_remove_frees_the_whole_queued_charge():
+    arena = PacketArena(None)
+    table, _, drops = make_table(arena=arena)
+    entry = table.create(key(5), next_hop=2, now=0, dgram_id=1)
+    for wire in (127, 127, 60):
+        assert table.enqueue(entry, frame(1), wire)
+    assert table.remove(key(5)) is entry
+    assert arena.used == 0 and arena.high_water == 314
+    assert len(entry.queued) == 3               # still there to be sent
+    assert drops == []
+
+
+def test_enqueue_without_room_drops_entry_and_charge():
+    arena = PacketArena(200)
+    table, counters, drops = make_table(arena=arena)
+    entry = table.create(key(5), next_hop=2, now=0, dgram_id=1)
+    assert table.enqueue(entry, frame(1), 127)
+    assert not table.enqueue(entry, frame(1), 127)
+    assert counters.pktbuf_full == 1
+    assert drops == [(1, "pktbuf_full")]
+    assert table.live_entries == 0 and arena.used == 0
+    assert table.allocator.live_count(2) == 0
