@@ -100,17 +100,18 @@ class DeadlineTable:
     Entries are never refreshed and time never goes back, so insertion
     order is deadline order.  The table keeps at most one expiry event in
     the simulator, at the earliest deadline + 1, armed by subclasses once
-    an entry is stored.  Subclasses define `_expire(entry, now)`, which
-    removes one expired entry.
+    an entry is stored; that event is the only way an entry expires, so
+    an access that runs at deadline + 1 ahead of it still finds the entry.
+    Subclasses define `_expire(entry, now)`, which removes one expired
+    entry.
     """
 
-    def __init__(self, sim, capacity, lifetime_us, counters, on_drop=None,
-                 arena=None):
+    def __init__(self, sim, capacity, lifetime_us, counters, on_drop, arena):
         self.sim = sim
-        self.capacity = capacity            # None = unbounded entries
+        self.capacity = capacity
         self.lifetime_us = lifetime_us
         self.counters = counters
-        self.on_drop = on_drop or (lambda dgram_id, cause, now: None)
+        self.on_drop = on_drop
         self.arena = arena
         self.entries = {}
         self._armed = False
@@ -120,7 +121,7 @@ class DeadlineTable:
         return len(self.entries)
 
     def full(self):
-        return self.capacity is not None and len(self.entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     def expire_due(self, now):
         """Evict the entries past their deadline, earliest first."""
@@ -150,8 +151,7 @@ class ReassemblyBuffer(DeadlineTable):
 
     def _discard(self, entry):
         del self.entries[entry.key]
-        if self.arena is not None and entry.received_bytes:
-            self.arena.free(entry.received_bytes)
+        self.arena.free(entry.received_bytes)
 
     def _expire(self, entry, now):
         self._discard(entry)
@@ -163,7 +163,6 @@ class ReassemblyBuffer(DeadlineTable):
     def insert(self, key, offset, payload, now, dgram_id):
         """Insert a fragment; returns the datagram bytes once complete,
         else None (stored, or dropped with its cause reported)."""
-        self.expire_due(now)
         entry = self.entries.get(key)
         if entry is None:
             if self.full():
@@ -178,7 +177,7 @@ class ReassemblyBuffer(DeadlineTable):
         if new_bytes < len(payload):
             self.counters.duplicate_fragments += 1
         if new_bytes:
-            if self.arena is not None and not self.arena.alloc(new_bytes):
+            if not self.arena.alloc(new_bytes):
                 self._discard(entry)
                 self.counters.pktbuf_full += 1
                 self.on_drop(entry.dgram_id, "pktbuf_full", now)

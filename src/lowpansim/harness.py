@@ -279,7 +279,7 @@ def frag_table_check():
 class _Rec:
     """Per-datagram bookkeeping for one payload simulation."""
     source: int
-    sent_at: int = None
+    sent_at: int
     delivered_at: int = None
     cause: str = None
     cause_at: int = None
@@ -387,10 +387,8 @@ def _simulate(scenario, topo, seed, payload):
                          rbuf_entries=scenario.sink_rbuf_entries if sink
                          else scenario.rbuf_entries,
                          vrb_entries=scenario.vrb_entries)
-        nodes[nid] = Node(cfg, sim, medium, scenario.mac,
-                          stack=scenario.stack,
-                          on_datagram=on_datagram if sink else None,
-                          on_drop=on_drop)
+        nodes[nid] = Node(cfg, sim, medium, scenario.mac, scenario.stack,
+                          on_datagram, on_drop)
     for (a, b), pdr in sorted(topo.links.items()):
         if scenario.force_link_pdr is not None:
             pdr = scenario.force_link_pdr
@@ -400,10 +398,6 @@ def _simulate(scenario, topo, seed, payload):
     if scenario.check_paths:
         for nid, node in nodes.items():
             _tap_deliveries(node.mac, nid, edges)
-
-    def send(node, dgram_id):
-        recs[dgram_id].sent_at = sim.now
-        node.app_send(payload, dgram_id)
 
     # Datagram ids and interval draws follow the send plan's order.  A
     # serialized plan goes round-robin on one clock, one datagram in flight
@@ -418,8 +412,8 @@ def _simulate(scenario, topo, seed, payload):
     clocks = {}
     for dgram_id, (nid, clock) in enumerate(plan, 1):
         t = clocks[clock] = clocks.get(clock, 0) + sim.rng.randint(lo, hi)
-        recs[dgram_id] = _Rec(nid)
-        sim.at(t, send, nodes[nid], dgram_id)
+        recs[dgram_id] = _Rec(nid, t)
+        sim.at(t, nodes[nid].app_send, payload, dgram_id)
 
     sim.run()
 

@@ -18,8 +18,7 @@ frame addressed to this node) wait in a FIFO queue (overflow drops the
 newest frame); the queue head is retried as soon as the radio frees and not
 later than queue_retry_us after enqueueing.  A channel that is merely
 overheard busy does not queue the frame: that is CCA's job.  Queued and
-in-flight frames are charged to the node's packet arena when one is
-attached.
+in-flight frames are charged to the node's packet arena.
 """
 
 from collections import deque
@@ -82,15 +81,18 @@ class _Job:
 
 
 class Mac:
-    """Per-node MAC entity; registers itself with the medium."""
+    """Per-node MAC entity; registers itself with the medium.
+
+    `on_deliver(frame, now)` receives each frame that arrived intact and
+    was acked; `on_frame_done(frame, ok, cause)` ends each frame sent."""
 
     __slots__ = ("node_id", "sim", "medium", "params", "counters", "arena",
                  "on_deliver", "on_frame_done", "queue", "current",
                  "tx_until", "rx_busy_until", "rx_hold_until", "current_rx",
                  "_service_at")
 
-    def __init__(self, node_id, sim, medium, params, counters, arena=None,
-                 on_deliver=None, on_frame_done=None):
+    def __init__(self, node_id, sim, medium, params, counters, arena,
+                 on_deliver, on_frame_done):
         self.node_id = node_id
         self.sim = sim
         self.medium = medium
@@ -121,15 +123,6 @@ class Mac:
     def _busy_end(self):
         return max(self.tx_until, self.rx_busy_until, self.rx_hold_until)
 
-    def _done(self, frame, ok, cause):
-        if self.on_frame_done is not None:
-            self.on_frame_done(frame, ok, cause)
-
-    def deliver(self, frame):
-        """Receiver-side upcall once a frame arrived intact and was acked."""
-        if self.on_deliver is not None:
-            self.on_deliver(frame, self.sim.now)
-
     def frame_received(self, rx):
         """A reception completed; hold the frame buffer during handover."""
         hold = self.params.rx_handover_us
@@ -149,9 +142,9 @@ class Mac:
 
     def send(self, frame):
         now = self.sim.now
-        if self.arena is not None and not self.arena.alloc(self.wire_size(frame)):
+        if not self.arena.alloc(self.wire_size(frame)):
             self.counters.pktbuf_full += 1
-            self._done(frame, False, "pktbuf_full")
+            self.on_frame_done(frame, False, "pktbuf_full")
             return
         if self.current is None and not self.queue and not self._transceiver_busy(now):
             self._start_job(frame)
@@ -159,9 +152,8 @@ class Mac:
         cap = self.params.queue_capacity
         if cap is not None and len(self.queue) >= cap:
             self.counters.queue_drops += 1
-            if self.arena is not None:
-                self.arena.free(self.wire_size(frame))
-            self._done(frame, False, "queue_drop")
+            self.arena.free(self.wire_size(frame))
+            self.on_frame_done(frame, False, "queue_drop")
             return
         self.queue.append(frame)
         if self.current is None:
@@ -236,7 +228,7 @@ class Mac:
         delivered, dest = self.medium.finish_tx(self, job.frame)
         if delivered:
             self._finish_job(job, True, None)
-            dest.deliver(job.frame)
+            dest.on_deliver(job.frame, self.sim.now)
         else:
             self._attempt_failed(job)
 
@@ -253,7 +245,6 @@ class Mac:
 
     def _finish_job(self, job, ok, cause):
         self.current = None
-        if self.arena is not None:
-            self.arena.free(self.wire_size(job.frame))
-        self._done(job.frame, ok, cause)
+        self.arena.free(self.wire_size(job.frame))
+        self.on_frame_done(job.frame, ok, cause)
         self._try_service()

@@ -62,8 +62,8 @@ class NodeConfig:
     id: int
     route_next_hop: object          # None exactly at the sink
     strategy: str
-    rbuf_entries: object = 16       # None = unbounded
-    vrb_entries: object = 16
+    rbuf_entries: int = 16          # table capacities; harness scenarios
+    vrb_entries: int = 16           # write "no limit" as UNBOUNDED_ENTRIES
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +72,7 @@ class StackParams:
     reassembly_timeout_us: int = 10_000_000
     vrb_lifetime_us: int = 10_000_000
     proc_delay_us: int = 2000
-    frag_buffer_slots: object = 64     # concurrent fragmentation jobs
+    frag_buffer_slots: int = 64        # concurrent fragmentation jobs
     arena_bytes: object = 6144         # shared packet pool; None = unbounded
 
 
@@ -91,30 +91,27 @@ class _FragJob:
 class Node:
     """One network node: MAC, buffers, and the configured strategy."""
 
-    def __init__(self, config, sim, medium, mac_params, stack=None,
-                 on_datagram=None, on_drop=None):
+    def __init__(self, config, sim, medium, mac_params, stack, on_datagram,
+                 on_drop):
         self.config = config
         self.sim = sim
-        self.stack = stack or StackParams()
+        self.stack = stack
         self.on_datagram = on_datagram
         self.on_drop = on_drop
         self.counters = NodeCounters()
         self.arena = PacketArena(self.stack.arena_bytes)
         self.mac = Mac(config.id, sim, medium, mac_params, self.counters,
-                       arena=self.arena, on_deliver=self._on_deliver,
-                       on_frame_done=self._on_frame_done)
+                       self.arena, self._on_deliver, self._on_frame_done)
         self.sdu = mac_params.sdu
         self.comp = CompressionHeader(self.stack.comp_header_bytes)
         self.strategy = STRATEGIES[config.strategy]
         self.tags = TagAllocator()
         self.rbuf = ReassemblyBuffer(sim, config.rbuf_entries,
                                      self.stack.reassembly_timeout_us,
-                                     self.counters, on_drop=self._note_drop,
-                                     arena=self.arena)
+                                     self.counters, on_drop, self.arena)
         self.vrb = VrbTable(sim, config.vrb_entries,
                             self.stack.vrb_lifetime_us, self.counters,
-                            self.tags, on_drop=self._note_drop,
-                            arena=self.arena)
+                            self.tags, on_drop, self.arena)
         self.frag_jobs = 0               # live local fragmentation jobs
 
     # -- sending --------------------------------------------------------
@@ -127,10 +124,9 @@ class Node:
 
     def _send_fragments(self, datagram, dgram_id):
         next_hop = self.config.route_next_hop
-        slots = self.stack.frag_buffer_slots
-        if slots is not None and self.frag_jobs >= slots:
+        if self.frag_jobs >= self.stack.frag_buffer_slots:
             self.counters.frag_buf_full += 1
-            self._note_drop(dgram_id, "frag_buf_full", self.sim.now)
+            self.on_drop(dgram_id, "frag_buf_full", self.sim.now)
             return False
         self.frag_jobs += 1
         job = _FragJob(next_hop, self.tags.acquire(next_hop))
@@ -144,17 +140,13 @@ class Node:
 
     def _on_frame_done(self, frame, ok, cause):
         if not ok:
-            self._note_drop(frame.dgram_id, cause, self.sim.now)
+            self.on_drop(frame.dgram_id, cause, self.sim.now)
         job = frame.job
         if job is not None:
             job.remaining -= 1
             if job.remaining == 0:
                 self.frag_jobs -= 1
                 self.tags.release(job.next_hop, job.tag)
-
-    def _note_drop(self, dgram_id, cause, now):
-        if self.on_drop is not None:
-            self.on_drop(dgram_id, cause, now)
 
     # -- receiving ------------------------------------------------------
 
@@ -185,8 +177,7 @@ class Node:
 
     def _deliver_up(self, dgram_id, datagram, now):
         self.counters.datagrams_delivered += 1
-        if self.on_datagram is not None:
-            self.on_datagram(dgram_id, bytes(datagram), now)
+        self.on_datagram(dgram_id, bytes(datagram), now)
 
     def _reassemble_step(self, key, frag, dgram_id, now):
         datagram = self.rbuf.insert(key, frag.offset, frag.payload, now,
@@ -205,7 +196,7 @@ class Node:
         if key in self.rbuf.entries:     # already fell back for this datagram
             self._reassemble_step(key, frag, dgram_id, now)
             return
-        if self.vrb.lookup(key, now) is not None:
+        if self.vrb.lookup(key) is not None:
             self.counters.duplicate_fragments += 1
             return
         entry = self.vrb.create(key, self.config.route_next_hop, now,
@@ -222,7 +213,7 @@ class Node:
         self._vrb_emit(entry, outs, dgram_id)
 
     def _ff_rest(self, key, frag, dgram_id, now):
-        entry = self.vrb.lookup(key, now)
+        entry = self.vrb.lookup(key)
         if entry is None:                # first fragment missing or unordered
             self._reassemble_step(key, frag, dgram_id, now)
             return

@@ -95,9 +95,11 @@ class Medium:
         self.link_pdr[(b.node_id, a.node_id)] = pdr
 
     def begin_tx(self, sender, frame, t0, t1):
-        """Account a transmission over [t0, t1) at every in-range node."""
-        pdr = self.link_pdr.get((sender.node_id, frame.dst))
-        if pdr is None or (pdr < 1.0 and self.rng.random() >= pdr):
+        """Account a transmission over [t0, t1) at every in-range node.
+        The frame's destination is a neighbor: nodes send only along
+        route edges, and every route edge has a link."""
+        pdr = self.link_pdr[(sender.node_id, frame.dst)]
+        if pdr < 1.0 and self.rng.random() >= pdr:
             sender.counters.channel_losses += 1
         else:
             dest = self.macs[frame.dst]
@@ -123,9 +125,7 @@ class Medium:
 
     def finish_tx(self, sender, frame):
         """Resolve a transmission; returns (delivered, dest_mac)."""
-        dest = self.macs.get(frame.dst)
-        if dest is None:
-            return (False, None)
+        dest = self.macs[frame.dst]
         rx = dest.current_rx
         if rx is not None and rx.frame is frame:
             if rx.destroyed:

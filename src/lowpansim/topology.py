@@ -116,6 +116,8 @@ class Topology:
         if sink not in self.positions:
             raise ValueError("sink %d is not a member" % sink)
         for nid, pos in self.positions.items():
+            if nid < 0:
+                raise ValueError("negative node id %d" % nid)
             if not all(math.isfinite(c) for c in pos):
                 raise ValueError("non-finite coordinate for node %d" % nid)
         ids = set(self.positions)

@@ -3,9 +3,10 @@
 A VRB entry pins one datagram's forwarding decision: fragments arriving for
 the entry's key are rewritten to (next_hop, out_tag) and passed on without
 reassembly.  Entries are created only when the first fragment arrives before
-any other fragment of its datagram (in-order condition); they live for the
-reassembly timeout and are never refreshed.  The queued forwarding variant
-parks rewritten fragments in `queued` until the whole datagram has passed.
+any other fragment of its datagram (in-order condition); they live for
+`vrb_lifetime_us`, are never refreshed, and expire only through the table's
+own expiry event.  The queued forwarding variant parks rewritten fragments
+in `queued` until the whole datagram has passed.
 
 Outgoing tags come from a per-neighbor 16-bit counter that skips values still
 in use by live entries or live local fragmentation jobs, so no two concurrent
@@ -63,16 +64,15 @@ class VrbTable(DeadlineTable):
     parked in them."""
 
     def __init__(self, sim, capacity, lifetime_us, counters, allocator,
-                 on_drop=None, arena=None):
+                 on_drop, arena):
         super().__init__(sim, capacity, lifetime_us, counters, on_drop, arena)
         self.allocator = allocator
 
     def _release(self, entry):
         del self.entries[entry.key]
         self.allocator.release(entry.next_hop, entry.out_tag)
-        if self.arena is not None and entry.queued_wire_bytes:
-            self.arena.free(entry.queued_wire_bytes)
-            entry.queued_wire_bytes = 0
+        self.arena.free(entry.queued_wire_bytes)
+        entry.queued_wire_bytes = 0
 
     def _expire(self, entry, now):
         self._release(entry)
@@ -90,7 +90,6 @@ class VrbTable(DeadlineTable):
 
     def create(self, key, next_hop, now, dgram_id):
         """New entry with a fresh out_tag, or None when the table is full."""
-        self.expire_due(now)
         if key in self.entries:
             raise ValueError("duplicate VRB entry for %r" % (key,))
         if self.full():
@@ -107,7 +106,7 @@ class VrbTable(DeadlineTable):
         """Park `frame` on the entry, charging `wire` bytes to the arena.
         Without room the entry goes and the frame's datagram is dropped;
         returns whether the frame was parked."""
-        if self.arena is not None and not self.arena.alloc(wire):
+        if not self.arena.alloc(wire):
             self.counters.pktbuf_full += 1
             self.remove(entry.key)
             self.on_drop(frame.dgram_id, "pktbuf_full", self.sim.now)
@@ -116,12 +115,7 @@ class VrbTable(DeadlineTable):
         entry.queued_wire_bytes += wire
         return True
 
-    def lookup(self, key, now):
-        """Live entry for key, or None (expired entries are evicted)."""
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        if now > entry.deadline:
-            self._expire(entry, now)
-            return None
-        return entry
+    def lookup(self, key):
+        """The entry for key, or None.  An entry is live until its table's
+        expiry event removes it."""
+        return self.entries.get(key)

@@ -76,7 +76,7 @@ def lossless(tmp_path_factory):
                        mac=MacParams(max_retransmissions=10_000,
                                      queue_capacity=None,
                                      min_be=6, max_be=8),
-                       stack=StackParams(frag_buffer_slots=None,
+                       stack=StackParams(frag_buffer_slots=UNBOUNDED_ENTRIES,
                                          arena_bytes=None))
         outdir = tmp_path_factory.mktemp("lossless-" + strategy)
         paths, _ = run_experiment(scn, outdir)
@@ -190,8 +190,9 @@ def _line_trace(strategy, payload):
                          strategy=strategy, rbuf_entries=16, vrb_entries=16)
         # Deep retry budget: the control asks about ordering, not loss.
         nodes[nid] = Node(cfg, sim, medium, MacParams(max_retransmissions=64),
-                          on_datagram=(lambda did, data, now: got.append(did))
-                          if nid == 0 else None)
+                          StackParams(),
+                          on_datagram=lambda did, data, now: got.append(did),
+                          on_drop=lambda did, cause, now: None)
     medium.add_link(nodes[0].mac, nodes[1].mac, 1.0)
     medium.add_link(nodes[1].mac, nodes[2].mac, 1.0)
     order = {0: [], 1: []}
@@ -202,8 +203,7 @@ def _line_trace(strategy, payload):
         def tap(frame, now, inner=inner, seen=seen):
             if frame.dgram_id not in seen:
                 seen.append(frame.dgram_id)
-            if inner is not None:
-                inner(frame, now)
+            inner(frame, now)
 
         mac.on_deliver = tap
     t = 0

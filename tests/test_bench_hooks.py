@@ -23,12 +23,14 @@ from layers import Tracer
 tracer = Tracer()
 tracer.install()
 from lowpansim.link_mac import MacParams
-from lowpansim.node_stack import Node, NodeConfig
+from lowpansim.node_stack import Node, NodeConfig, StackParams
 from lowpansim.sim_core import Medium, Simulator
 sim = Simulator(seed=1)
 medium = Medium(sim)
 nodes = [Node(NodeConfig(id=i, route_next_hop=i + 1 if i < 2 else None,
-                         strategy="FF"), sim, medium, MacParams())
+                         strategy="FF"), sim, medium, MacParams(),
+              StackParams(), on_datagram=lambda did, data, now: None,
+              on_drop=lambda did, cause, now: None)
          for i in range(3)]
 for a, b in zip(nodes, nodes[1:]):
     medium.add_link(a.mac, b.mac, 1.0)

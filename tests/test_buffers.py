@@ -22,7 +22,8 @@ def make_rbuf(capacity=1, arena=None, drops=None, sim=None):
     counters = NodeCounters()
     sink = drops if drops is not None else []
     rbuf = ReassemblyBuffer(sim or Simulator(), capacity=capacity,
-                            lifetime_us=TIMEOUT, arena=arena,
+                            lifetime_us=TIMEOUT,
+                            arena=arena or PacketArena(None),
                             counters=counters,
                             on_drop=lambda did, cause, now: sink.append((did, cause)))
     return rbuf, counters, sink
@@ -103,9 +104,14 @@ def test_completion_wins_at_the_deadline():
 
 
 def test_lazy_eviction_frees_slot_for_new_key():
-    rbuf, counters, _ = make_rbuf(capacity=1)
+    # The table's expiry event at deadline + 1 frees the one slot, so the
+    # next new key is stored instead of dropped as rbuf_full.
+    sim = Simulator()
+    rbuf, counters, _ = make_rbuf(capacity=1, sim=sim)
     rbuf.insert(KEY, 0, b"x" * 8, now=0, dgram_id=1)
-    rbuf.insert(KEY2, 0, b"y" * 8, now=TIMEOUT + 1, dgram_id=2)
+    sim.run()
+    assert sim.now == TIMEOUT + 1 and rbuf.live_entries == 0
+    rbuf.insert(KEY2, 0, b"y" * 8, now=sim.now, dgram_id=2)
     assert list(rbuf.entries) == [KEY2]
     assert counters.rbuf_timeout == 1
     assert counters.rbuf_full == 0
@@ -154,7 +160,8 @@ def test_entries_expire_through_the_tables_own_event():
     sim = Simulator()
     drops, probes = [], []
     note = lambda did, cause, now: drops.append((did, cause, now))
-    rbuf = ReassemblyBuffer(sim, 4, TIMEOUT, NodeCounters(), on_drop=note)
+    rbuf = ReassemblyBuffer(sim, 4, TIMEOUT, NodeCounters(), on_drop=note,
+                            arena=PacketArena(None))
     vrb = VrbTable(sim, 4, TIMEOUT, NodeCounters(), TagAllocator(),
                    on_drop=note, arena=PacketArena(None))
 
@@ -174,6 +181,35 @@ def test_entries_expire_through_the_tables_own_event():
     assert drops == [(1, "rbuf_timeout", sim.now), (2, "vrb_expired", sim.now)]
     assert rbuf.counters.rbuf_timeout_no_first == 1
     assert vrb.counters.vrb_expired == 1
+    assert rbuf.live_entries == vrb.live_entries == vrb.arena.used == 0
+
+
+def test_access_scheduled_before_the_expiry_event_finds_the_entry():
+    # Events at one instant run in scheduling order.  An access scheduled
+    # for deadline + 1 before the entries existed runs ahead of the tables'
+    # expiry events and still finds them; the events then expire what is
+    # left, once.
+    sim = Simulator()
+    drops, seen = [], []
+    note = lambda did, cause, now: drops.append((did, cause, now))
+    rbuf = ReassemblyBuffer(sim, 4, TIMEOUT, NodeCounters(), on_drop=note,
+                            arena=PacketArena(None))
+    vrb = VrbTable(sim, 4, TIMEOUT, NodeCounters(), TagAllocator(),
+                   on_drop=note, arena=PacketArena(None))
+
+    def access():
+        seen.append(rbuf.insert(KEY, 8, b"b" * 16, sim.now, dgram_id=1))
+        seen.append(vrb.lookup(KEY2))
+
+    sim.at(TIMEOUT + 1, access)
+    rbuf.insert(KEY, 0, b"a" * 8, 0, dgram_id=1)
+    entry = vrb.create(KEY2, next_hop=2, now=0, dgram_id=2)
+    vrb.enqueue(entry, Frame(4, 2, None, 2), 60)
+    sim.run()
+    assert seen == [b"a" * 8 + b"b" * 16, entry]
+    assert rbuf.counters.rbuf_timeout == 0
+    assert vrb.counters.vrb_expired == 1
+    assert drops == [(2, "vrb_expired", TIMEOUT + 1)]
     assert rbuf.live_entries == vrb.live_entries == vrb.arena.used == 0
 
 

@@ -8,6 +8,7 @@ import pytest
 from lowpansim.cli import main
 
 from test_harness import line_topology, write_scenario
+from test_topology import NEGATIVE_ID
 
 
 def test_frag_table_check_command(capsys):
@@ -128,6 +129,15 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not ASCII" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    # A topology file with a negative node id.
+    scn = write_scenario(tmp_path, line_topology(3))
+    net.write_text(NEGATIVE_ID)
+    assert main(["run", "--scenario", str(scn),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "negative node id -1" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
     # A worker count that is not a positive integer is a usage error.

@@ -1,5 +1,6 @@
 """Tests for the CSMA/CA MAC with acknowledgements and retransmissions."""
 
+from lowpansim.buffers import PacketArena
 from lowpansim.frag_codec import Fragment
 from lowpansim.link_mac import CCA_DUR_US, Frame, Mac, MacParams, airtime_us
 from lowpansim.metrics import NodeCounters
@@ -30,6 +31,7 @@ class Rig:
         ids = sorted({n for link in links for n in link})
         for i in ids:
             self.macs[i] = Mac(i, self.sim, self.medium, p, NodeCounters(),
+                               arena=PacketArena(None),
                                on_deliver=self._deliver(i),
                                on_frame_done=self._done(i))
         for a, b in links:

@@ -144,7 +144,7 @@ def inject(line, frags, order, times, dgram_id=42):
     fwd = line.nodes[1]
     for idx, t in zip(order, times):
         frame = Frame(0, 1, frags[idx], dgram_id, None)
-        line.sim.at(t, partial(fwd.mac.deliver, frame))
+        line.sim.at(t, partial(fwd.mac.on_deliver, frame, t))
 
 
 def source_frags(payload=272, dgram_id=42):

@@ -159,6 +159,8 @@ def test_load_rejects_unknown_route_node(tmp_path):
 
 _TWO_NODES = (b"topology v1\nsink 0\nnode 0 0.0 0.0 0.0\nnode 1 %s 0.0 0.0\n"
               b"route 1 0\nlink 0 1 0.9875\n")
+NEGATIVE_ID = ("topology v1\nsink 0\nnode 0 0.0 0.0 0.0\nnode -1 3.0 0.0 0.0\n"
+               "route -1 0\nlink -1 0 0.9875\n")
 
 
 # nan would pass the link length check: nan > 6.6 is false.
@@ -167,7 +169,8 @@ _TWO_NODES = (b"topology v1\nsink 0\nnode 0 0.0 0.0 0.0\nnode 1 %s 0.0 0.0\n"
     (_TWO_NODES % b"3.0" + b"sink 1\n", "line 7: second sink line"),
     (_TWO_NODES % b"nan", "non-finite coordinate for node 1"),
     (_TWO_NODES % b"3.0" + b"# caf\xe9\n", "not ASCII"),
-], ids=("repeated-link", "repeated-sink", "nan", "non-ascii"))
+    (NEGATIVE_ID.encode(), "negative node id -1"),
+], ids=("repeated-link", "repeated-sink", "nan", "non-ascii", "negative-id"))
 def test_load_rejects_malformed_files(tmp_path, data, message):
     path = tmp_path / "bad.txt"
     path.write_bytes(data)

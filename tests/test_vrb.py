@@ -11,13 +11,14 @@ from lowpansim.vrb import TagAllocator, VrbTable
 LIFETIME = 10_000_000  # us
 
 
-def make_table(capacity=16, drops=None, arena=None):
+def make_table(capacity=16, drops=None, arena=None, sim=None):
     counters = NodeCounters()
     sink = drops if drops is not None else []
-    table = VrbTable(Simulator(), capacity=capacity, lifetime_us=LIFETIME,
-                     counters=counters, allocator=TagAllocator(),
+    table = VrbTable(sim or Simulator(), capacity=capacity,
+                     lifetime_us=LIFETIME, counters=counters,
+                     allocator=TagAllocator(),
                      on_drop=lambda did, cause, now: sink.append((did, cause)),
-                     arena=arena)
+                     arena=arena or PacketArena(None))
     return table, counters, sink
 
 
@@ -30,8 +31,8 @@ def test_create_and_lookup():
     entry = table.create(key(5), next_hop=2, now=0, dgram_id=1)
     assert entry is not None
     assert entry.next_hop == 2
-    assert table.lookup(key(5), now=100) is entry
-    assert table.lookup(key(6), now=100) is None
+    assert table.lookup(key(5)) is entry
+    assert table.lookup(key(6)) is None
     assert counters.vrb_full == 0
 
 
@@ -62,18 +63,26 @@ def test_table_full_returns_none_and_counts():
 
 
 def test_expiry_is_strict_at_the_deadline():
-    table, counters, _ = make_table()
+    sim = Simulator()
+    table, counters, _ = make_table(sim=sim)
     table.create(key(5), next_hop=2, now=0, dgram_id=1)
-    assert table.lookup(key(5), now=LIFETIME) is not None
-    assert table.lookup(key(5), now=LIFETIME + 1) is None
+    at_deadline = []
+    sim.at(LIFETIME, lambda: at_deadline.append(table.lookup(key(5))))
+    sim.run()
+    assert at_deadline[0] is not None
+    assert sim.now == LIFETIME + 1
+    assert table.lookup(key(5)) is None
     assert counters.vrb_expired == 1
     assert table.live_entries == 0
 
 
 def test_expired_entry_frees_a_slot():
-    table, counters, _ = make_table(capacity=1)
+    sim = Simulator()
+    table, counters, _ = make_table(capacity=1, sim=sim)
     table.create(key(5), next_hop=2, now=0, dgram_id=1)
-    assert table.create(key(6), next_hop=2, now=LIFETIME + 1,
+    sim.run()
+    assert sim.now == LIFETIME + 1
+    assert table.create(key(6), next_hop=2, now=sim.now,
                         dgram_id=2) is not None
     assert counters.vrb_expired == 1
     assert counters.vrb_full == 0
