@@ -24,7 +24,7 @@ Two fragmentation policies:
   without re-fragmenting.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 FRAG1_DISPATCH = 0b11000
 FRAGN_DISPATCH = 0b11100
@@ -94,27 +94,23 @@ class Fragment:
     header is None for an unfragmented datagram.  payload is the covered
     slice of the uncompressed datagram; comp_size is the wire size of the
     compressed header (first fragment and unfragmented frames only).
+    content_len, derived at construction, is the total 6LoWPAN content in
+    bytes: fragment header plus wire payload.
     """
 
     header: object
     payload: bytes
     comp_size: object = None
+    content_len: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def wire_payload_len(self):
-        """Bytes following the fragment header on the wire."""
+    def __post_init__(self):
+        n = len(self.payload)
         if self.comp_size is not None:
-            return self.comp_size + len(self.payload) - HEADER_REGION
-        return len(self.payload)
-
-    @property
-    def content_len(self):
-        """Total 6LoWPAN content bytes (fragment header + wire payload)."""
-        if self.header is None:
-            return self.wire_payload_len
-        if isinstance(self.header, Frag1Header):
-            return FRAG1_HEADER_LEN + self.wire_payload_len
-        return FRAGN_HEADER_LEN + self.wire_payload_len
+            n += self.comp_size - HEADER_REGION
+        if self.header is not None:
+            n += (FRAG1_HEADER_LEN if isinstance(self.header, Frag1Header)
+                  else FRAGN_HEADER_LEN)
+        object.__setattr__(self, "content_len", n)
 
     @property
     def offset(self):

@@ -71,10 +71,19 @@ class Frame:
 
 
 class _Job:
-    __slots__ = ("frame", "attempts", "nb", "be")
+    """The frame in flight, with its wire size and airtime.
 
-    def __init__(self, frame):
+    A job has exactly one pending event at any time, and `Mac.current`
+    changes only in `_start_job` (while it is None) and in `_finish_job`,
+    which only the job's own event chain reaches; so every event of a job
+    finds it still current."""
+
+    __slots__ = ("frame", "size", "airtime", "attempts", "nb", "be")
+
+    def __init__(self, frame, size):
         self.frame = frame
+        self.size = size
+        self.airtime = airtime_us(size)
         self.attempts = 0
         self.nb = 0
         self.be = 0
@@ -182,7 +191,7 @@ class Mac:
     # -- one frame's lifecycle ----------------------------------------------
 
     def _start_job(self, frame):
-        self.current = _Job(frame)
+        self.current = _Job(frame, self.wire_size(frame))
         self._begin_attempt()
 
     def _begin_attempt(self):
@@ -193,12 +202,16 @@ class Mac:
         self._backoff(job)
 
     def _backoff(self, job):
-        delay = self.sim.rng.randrange(1 << job.be) * UNIT_BACKOFF_US
-        self.sim.after(delay, self._cca, job)
+        # randrange(1 << be), drawn the way random.Random draws it: be + 1
+        # bits, redrawn while bit be is set.  Same value, same stream.
+        sim, be = self.sim, job.be
+        getrandbits = sim.rng.getrandbits
+        slots = getrandbits(be + 1)
+        while slots >> be:
+            slots = getrandbits(be + 1)
+        sim.at(sim.now + slots * UNIT_BACKOFF_US, self._cca, job)
 
     def _cca(self, job):
-        if self.current is not job:
-            return
         # A frame sitting in the single buffer blocks our own transmit path
         # exactly like an audibly busy channel would.
         if self.current_rx is not None or self.rx_busy_until > self.sim.now:
@@ -210,11 +223,11 @@ class Mac:
             else:
                 self._backoff(job)
             return
-        self.sim.after(CCA_DUR_US, self._tx_start, job)
+        self.sim.at(self.sim.now + CCA_DUR_US, self._tx_start, job)
 
     def _tx_start(self, job):
         now = self.sim.now
-        t1 = now + airtime_us(self.wire_size(job.frame))
+        t1 = now + job.airtime
         self.tx_until = t1
         self.counters.frames_sent += 1
         if self.current_rx is not None:
@@ -241,10 +254,11 @@ class Mac:
             self._finish_job(job, False, "retrans_exhausted")
         else:
             self.counters.l2_retransmissions += 1
-            self.sim.after(self.params.ack_timeout_us, self._begin_attempt)
+            self.sim.at(self.sim.now + self.params.ack_timeout_us,
+                        self._begin_attempt)
 
     def _finish_job(self, job, ok, cause):
         self.current = None
-        self.arena.free(self.wire_size(job.frame))
+        self.arena.free(job.size)
         self.on_frame_done(job.frame, ok, cause)
         self._try_service()

@@ -48,13 +48,8 @@ STRATEGIES = {
 
 def build_datagram(src, dgram_id, payload_size):
     """Deterministic datagram bytes, so the sink can verify integrity."""
-    n = HEADER_BYTES + payload_size
-    out = bytearray()
-    block = 0
-    while len(out) < n:
-        out += hashlib.sha256(b"%d:%d:%d" % (src, dgram_id, block)).digest()
-        block += 1
-    return bytes(out[:n])
+    return hashlib.shake_256(b"%d:%d" % (src, dgram_id)).digest(
+        HEADER_BYTES + payload_size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +146,8 @@ class Node:
     # -- receiving ------------------------------------------------------
 
     def _on_deliver(self, frame, now):
-        self.sim.after(self.stack.proc_delay_us, self._process, frame)
+        sim = self.sim
+        sim.at(sim.now + self.stack.proc_delay_us, self._process, frame)
 
     def _process(self, frame):
         now = self.sim.now

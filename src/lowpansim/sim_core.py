@@ -2,8 +2,17 @@
 
 All times are integer microseconds to avoid floating-point drift.  Events at
 the same instant run in scheduling order, so a run is a pure function of
-(scenario, seed).  One random.Random, owned by the simulator, serves every
-stochastic draw in a run; components must draw from it in event order only.
+(scenario, seed).  `Simulator.at` is the one way to schedule an event; a
+delay d from now is `at(now + d, ...)`.  One random.Random, owned by the
+simulator, serves every stochastic draw in a run; components must draw from
+it in event order only.
+
+Events scheduled before `run()` starts (a harness's whole send plan) form a
+sorted agenda; only its next entry waits in the heap, under its original
+(time, seq) key, so the heap holds the few events scheduled at run time
+instead of the whole plan.  The firing order is the one a single heap gives:
+keys are unique, and the agenda's next entry is the least key left in it,
+so the heap's least key is the least of every pending event.
 
 The medium models a single channel:
 
@@ -34,24 +43,33 @@ class Simulator:
         self._seq = 0
 
     def at(self, t, fn, *args):
-        """Schedule fn(*args) at absolute time t, which may be now."""
+        """Schedule fn(*args) at absolute time t, which may be now but not
+        earlier.  Every event goes through here."""
         if t < self.now:
             raise ValueError("cannot schedule into the past: %d < %d"
                              % (t, self.now))
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, fn, args))
 
-    def after(self, dt, fn, *args):
-        if dt < 0:
-            raise ValueError("negative delay: %d" % dt)
-        self.at(self.now + dt, fn, *args)
-
     def run(self):
-        """Process events in time order; return once the queue is empty."""
+        """Process events in (time, seq) order; return once none is left.
+        The events already scheduled form the agenda."""
         heap = self._heap
-        pop = heapq.heappop
+        # Reversed: the next entry is last, and popping it drops the
+        # agenda's reference once it has been handed to the heap.
+        agenda = sorted(heap, reverse=True)
+        heap.clear()
+        nxt = None
+        if agenda:
+            nxt = agenda.pop()
+            heap.append(nxt)
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            t, _, fn, args = pop(heap)
+            event = pop(heap)
+            if event is nxt and agenda:
+                nxt = agenda.pop()
+                push(heap, nxt)
+            t, _, fn, args = event
             self.now = t
             fn(*args)
 

@@ -1,8 +1,11 @@
 """Tests for the CSMA/CA MAC with acknowledgements and retransmissions."""
 
+import random
+
 from lowpansim.buffers import PacketArena
 from lowpansim.frag_codec import Fragment
-from lowpansim.link_mac import CCA_DUR_US, Frame, Mac, MacParams, airtime_us
+from lowpansim.link_mac import (CCA_DUR_US, UNIT_BACKOFF_US, Frame, Mac,
+                                MacParams, _Job, airtime_us)
 from lowpansim.metrics import NodeCounters
 from lowpansim.sim_core import Medium, Simulator
 
@@ -200,3 +203,33 @@ def test_own_send_waits_for_handover():
     # Release at 6384, then CCA 128 + airtime of a 63-byte frame (2208).
     assert (1, g, 6384 + 128 + 2208) in rig.delivered
     assert rig.macs[2].counters.l2_retransmissions == 0
+
+
+class _Clock:
+    """Just the simulator surface `Mac._backoff` uses; records each event
+    time instead of queueing the event."""
+
+    def __init__(self, seed):
+        self.now = 0
+        self.rng = random.Random(seed)
+        self.times = []
+
+    def at(self, t, fn, *args):
+        self.times.append(t)
+
+
+def test_backoff_draws_equal_randrange():
+    frame = Frame(1, 2, small_frame(), dgram_id=1)
+    for seed in (0, 1, 7, 12345, -3):
+        for be in range(9):
+            clock = _Clock(seed)
+            mac = Mac(1, clock, Medium(clock), MacParams(), NodeCounters(),
+                      PacketArena(None), None, None)
+            job = _Job(frame, mac.wire_size(frame))
+            job.be = be
+            for _ in range(100):
+                mac._backoff(job)
+            ref = random.Random(seed)
+            assert clock.times == [ref.randrange(1 << be) * UNIT_BACKOFF_US
+                                   for _ in range(100)], (seed, be)
+            assert clock.rng.getstate() == ref.getstate()

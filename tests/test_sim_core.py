@@ -1,6 +1,8 @@
 """Tests for the event loop and the radio medium."""
 
 import hashlib
+import heapq
+import random
 
 import pytest
 
@@ -31,22 +33,28 @@ def test_nested_scheduling_and_zero_delay():
 
     def first():
         seen.append(sim.now)
-        sim.after(0, lambda: seen.append(sim.now))
-        sim.after(5, lambda: seen.append(sim.now))
+        sim.at(sim.now + 0, lambda: seen.append(sim.now))
+        sim.at(sim.now + 5, lambda: seen.append(sim.now))
 
-    sim.after(3, first)
+    sim.at(sim.now + 3, first)
     sim.run()
     assert seen == [3, 3, 8]
 
 
 def test_negative_delay_rejected():
     sim = Simulator(seed=1)
-    with pytest.raises(ValueError):
-        sim.after(-1, lambda: None)
-    sim.at(10, lambda: None)
+    checked_at = []
+
+    def schedule_into_past():
+        with pytest.raises(ValueError):
+            sim.at(sim.now - 1, lambda: None)
+        checked_at.append(sim.now)
+
+    sim.at(10, schedule_into_past)
     sim.run()
     with pytest.raises(ValueError):
         sim.at(5, lambda: None)
+    assert checked_at == [10]
 
 
 def _trace_digest(seed):
@@ -56,9 +64,9 @@ def _trace_digest(seed):
     def tick(i):
         trace.append("%d tick %d draw %.6f" % (sim.now, i, sim.rng.random()))
         if i < 40:
-            sim.after(sim.rng.randrange(1, 50), lambda: tick(i + 1))
+            sim.at(sim.now + sim.rng.randrange(1, 50), lambda: tick(i + 1))
 
-    sim.after(0, lambda: tick(0))
+    sim.at(sim.now + 0, lambda: tick(0))
     sim.run()
     return hashlib.sha256("\n".join(trace).encode()).hexdigest()
 
@@ -66,6 +74,77 @@ def _trace_digest(seed):
 def test_same_seed_gives_identical_trace():
     assert _trace_digest(42) == _trace_digest(42)
     assert _trace_digest(42) != _trace_digest(43)
+
+
+class _OneHeapLoop:
+    """Reference event loop: every event, scheduled before or during a
+    run, waits in one heap under its (time, seq) key."""
+
+    def __init__(self):
+        self.now = 0
+        self.heap = []
+        self.seq = 0
+
+    def at(self, t, fn, *args):
+        assert t >= self.now
+        self.seq += 1
+        heapq.heappush(self.heap, (t, self.seq, fn, args))
+
+    def run(self):
+        while self.heap:
+            t, _, fn, args = heapq.heappop(self.heap)
+            self.now = t
+            fn(*args)
+
+
+def _random_script(seed):
+    """Two batches of pre-run events and, per event, the delays of the
+    events it schedules when it fires.  Times and delays are small and
+    zero delays common, so pre-run and run-time events share instants."""
+    rng = random.Random(seed)
+    children = {}
+    budget = [rng.randrange(20, 120)]
+
+    def event():
+        label = len(children)
+        children[label] = []
+        if budget[0] > 0 and rng.random() < 0.6:
+            for _ in range(rng.randrange(1, 4)):
+                budget[0] -= 1
+                children[label].append((rng.choice((0, 0, 1, 2, 5)),
+                                        event()))
+        return label
+
+    batches = [[(rng.randrange(0, 15), event())
+                for _ in range(rng.randrange(0, 30))] for _ in range(2)]
+    return batches, children
+
+
+def _firing_order(loop, script):
+    """Run the script's two batches, the second after the first drained,
+    scheduled relative to the time the first run ended."""
+    batches, children = script
+    order = []
+
+    def fire(label):
+        order.append((loop.now, label))
+        for delay, child in children[label]:
+            loop.at(loop.now + delay, fire, child)
+
+    for batch in batches:
+        start = loop.now
+        for t, label in batch:
+            loop.at(start + t, fire, label)
+        loop.run()
+        order.append(("drained", loop.now))
+    return order
+
+
+def test_run_fires_events_in_one_heap_order():
+    for seed in range(200):
+        script = _random_script(seed)
+        expected = _firing_order(_OneHeapLoop(), script)
+        assert _firing_order(Simulator(seed=1), script) == expected, seed
 
 
 class _StubMac:
