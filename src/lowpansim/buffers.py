@@ -7,7 +7,8 @@ Two memory-accounting models for reassembly storage:
   size, 2 bytes tag, and 1280 bytes of data = 1302 bytes per entry.
 - arena: entries keep a 22-byte static descriptor and place datagram bytes
   in a shared arena (packet buffer) as fragments arrive, so cost follows
-  actual occupancy.
+  actual occupancy.  A byte mask beside each entry's data marks what has
+  arrived: the first copy of a byte wins and is the only one charged.
 
 The arena is also charged by the MAC for queued frames and by the VRB
 table for fragments parked in its entries; `mem_usage` only folds entry
@@ -63,7 +64,9 @@ class PacketArena:
 
 
 class _Entry:
-    __slots__ = ("key", "dgram_id", "deadline", "data", "intervals",
+    """A datagram in reassembly: covered[i] is 1 once data[i] arrived."""
+
+    __slots__ = ("key", "dgram_id", "deadline", "data", "covered",
                  "received_bytes")
 
     def __init__(self, key, dgram_id, deadline):
@@ -71,26 +74,8 @@ class _Entry:
         self.dgram_id = dgram_id
         self.deadline = deadline
         self.data = bytearray(key.datagram_size)
-        self.intervals = []          # disjoint, sorted [start, end) pairs
+        self.covered = bytearray(key.datagram_size)
         self.received_bytes = 0
-
-    def new_spans(self, start, end):
-        """Sub-spans of [start, end) not yet covered."""
-        spans = []
-        pos = start
-        for a, b in self.intervals:
-            if b <= pos:
-                continue
-            if a >= end:
-                break
-            if a > pos:
-                spans.append((pos, a))
-            pos = max(pos, b)
-            if pos >= end:
-                break
-        if pos < end:
-            spans.append((pos, end))
-        return spans
 
 
 class DeadlineTable:
@@ -156,7 +141,7 @@ class ReassemblyBuffer(DeadlineTable):
     def _expire(self, entry, now):
         self._discard(entry)
         self.counters.rbuf_timeout += 1
-        if not (entry.intervals and entry.intervals[0][0] == 0):
+        if not entry.covered[0]:
             self.counters.rbuf_timeout_no_first += 1
         self.on_drop(entry.dgram_id, "rbuf_timeout", now)
 
@@ -172,19 +157,25 @@ class ReassemblyBuffer(DeadlineTable):
             entry = _Entry(key, dgram_id, now + self.lifetime_us)
             self.entries[key] = entry
         end = offset + len(payload)
-        spans = entry.new_spans(offset, end)
-        new_bytes = sum(b - a for a, b in spans)
-        if new_bytes < len(payload):
+        covered = entry.covered
+        seen = covered.count(1, offset, end)
+        if seen:
             self.counters.duplicate_fragments += 1
+        new_bytes = len(payload) - seen
         if new_bytes:
             if not self.arena.alloc(new_bytes):
                 self._discard(entry)
                 self.counters.pktbuf_full += 1
                 self.on_drop(entry.dgram_id, "pktbuf_full", now)
                 return None
-            for a, b in spans:
-                entry.data[a:b] = payload[a - offset:b - offset]
-            entry.intervals = _merge(entry.intervals, spans)
+            if seen:                     # first write wins
+                for i in range(offset, end):
+                    if not covered[i]:
+                        entry.data[i] = payload[i - offset]
+                        covered[i] = 1
+            else:
+                entry.data[offset:end] = payload
+                covered[offset:end] = b"\x01" * len(payload)
             entry.received_bytes += new_bytes
         if entry.received_bytes == key.datagram_size:
             self._discard(entry)
@@ -192,14 +183,3 @@ class ReassemblyBuffer(DeadlineTable):
         self._arm()
         return None
 
-
-def _merge(intervals, spans):
-    """Merge disjoint sorted intervals with new non-overlapping spans."""
-    merged = sorted(intervals + spans)
-    out = [list(merged[0])]
-    for a, b in merged[1:]:
-        if a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return [(a, b) for a, b in out]

@@ -206,13 +206,7 @@ def _validate(size, comp, sdu, policy):
 
 def fragment_count(size, comp, sdu, policy):
     """Number of frames a datagram of `size` bytes fragments into."""
-    _validate(size, comp, sdu, policy)
-    first = _first_coverage(size, comp, sdu, policy)
-    if first < 0:
-        return 1
-    capacity = _floor8(sdu - FRAGN_HEADER_LEN)
-    rest = size - first
-    return 1 + (rest + capacity - 1) // capacity
+    return len(fragment_datagram(bytes(size), comp, 0, sdu, policy))
 
 
 def fragment_datagram(datagram, comp, tag, sdu, policy):

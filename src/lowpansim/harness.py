@@ -608,7 +608,8 @@ def _parse_run(text):
                       for name, cell in zip(columns, cells)]
             if rows is None:            # pdr is derived, so only checked
                 r = Record(**dict(zip(lead[:-1], values)))
-                if (r.sent < 1 or r.pdr != values[-1]
+                if (r.sent < 1 or not 0 <= r.delivered <= r.sent
+                        or r.pdr != values[-1]
                         or records.setdefault(r.payload, r) is not r):
                     raise ScenarioError("[summary] bad row: %r" % line)
                 continue

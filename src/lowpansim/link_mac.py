@@ -93,12 +93,15 @@ class Mac:
     """Per-node MAC entity; registers itself with the medium.
 
     `on_deliver(frame, now)` receives each frame that arrived intact and
-    was acked; `on_frame_done(frame, ok, cause)` ends each frame sent."""
+    was acked; `on_frame_done(frame, ok, cause)` ends each frame sent.
+    The frame buffer is taken by `current_rx` while a frame arrives, then
+    by `rx_held` until the `_rx_release` event, so an event queued for
+    that instant before the reception ended still finds it held."""
 
     __slots__ = ("node_id", "sim", "medium", "params", "counters", "arena",
                  "on_deliver", "on_frame_done", "queue", "current",
                  "tx_until", "rx_busy_until", "rx_hold_until", "current_rx",
-                 "_service_at")
+                 "rx_held", "_service_at")
 
     def __init__(self, node_id, sim, medium, params, counters, arena,
                  on_deliver, on_frame_done):
@@ -116,6 +119,7 @@ class Mac:
         self.rx_busy_until = 0
         self.rx_hold_until = 0
         self.current_rx = None
+        self.rx_held = False
         self._service_at = None
         medium.register(self)
 
@@ -127,25 +131,24 @@ class Mac:
     def _transceiver_busy(self, now):
         # Carrier overheard from elsewhere (rx_busy_until with no frame of
         # ours arriving) is not transceiver business; CCA deals with it.
-        return self.tx_until > now or self.current_rx is not None
+        return (self.tx_until > now or self.current_rx is not None
+                or self.rx_held)
 
     def _busy_end(self):
         return max(self.tx_until, self.rx_busy_until, self.rx_hold_until)
 
-    def frame_received(self, rx):
+    def frame_received(self):
         """A reception completed; hold the frame buffer during handover."""
+        self.current_rx = None
         hold = self.params.rx_handover_us
-        if hold <= 0:
-            self.current_rx = None
-            return
-        rx.in_air = False
-        self.rx_hold_until = self.sim.now + hold
-        self.sim.at(self.rx_hold_until, self._rx_release, rx)
+        if hold > 0:
+            self.rx_held = True
+            self.rx_hold_until = self.sim.now + hold
+            self.sim.at(self.rx_hold_until, self._rx_release)
 
-    def _rx_release(self, rx):
-        if self.current_rx is rx:
-            self.current_rx = None
-            self._try_service()
+    def _rx_release(self):
+        self.rx_held = False
+        self._try_service()
 
     # -- send path ----------------------------------------------------------
 
@@ -214,7 +217,8 @@ class Mac:
     def _cca(self, job):
         # A frame sitting in the single buffer blocks our own transmit path
         # exactly like an audibly busy channel would.
-        if self.current_rx is not None or self.rx_busy_until > self.sim.now:
+        if (self.current_rx is not None or self.rx_held
+                or self.rx_busy_until > self.sim.now):
             job.nb += 1
             job.be = min(job.be + 1, self.params.max_be)
             if job.nb > self.params.max_csma_backoffs:

@@ -24,7 +24,7 @@ The medium models a single channel:
   each copy elsewhere is judged on its own.
 
 Transceiver state lives on the MAC objects (tx_until, rx_busy_until,
-current_rx, counters); the medium only reads and updates it.
+current_rx, rx_held, counters); the medium only reads and updates it.
 """
 
 import heapq
@@ -75,19 +75,15 @@ class Simulator:
 
 
 class RxState:
-    """One frame held by its destination's single frame buffer.
+    """The frame arriving at its destination while it is still in the air.
+    A colliding transmission destroys it; once received it leaves the
+    medium, and the destination's MAC holds its buffer for the handover."""
 
-    While in_air the frame is still being received and a colliding
-    transmission destroys it; once received it may stay in the buffer
-    (in_air False), deaf but indestructible, before the host reads it out.
-    """
-
-    __slots__ = ("frame", "destroyed", "in_air")
+    __slots__ = ("frame", "destroyed")
 
     def __init__(self, frame):
         self.frame = frame
         self.destroyed = False
-        self.in_air = True
 
 
 class Medium:
@@ -121,14 +117,11 @@ class Medium:
             sender.counters.channel_losses += 1
         else:
             dest = self.macs[frame.dst]
-            held = dest.current_rx
-            if dest.tx_until > t0:
-                dest.counters.busy_losses += 1
-            elif held is not None and not held.in_air:
-                # Frame buffer still occupied by an earlier reception.
+            if dest.tx_until > t0 or dest.rx_held:
+                # Transmitting, or still holding an earlier reception.
                 dest.counters.busy_losses += 1
             elif dest.rx_busy_until > t0:
-                if held is not None:
+                if dest.current_rx is not None:
                     dest.counters.collisions += 1
                 else:
                     dest.counters.busy_losses += 1
@@ -138,7 +131,7 @@ class Medium:
             if nbr.rx_busy_until < t1:
                 nbr.rx_busy_until = t1
             rx = nbr.current_rx
-            if rx is not None and rx.in_air and rx.frame is not frame:
+            if rx is not None and rx.frame is not frame:
                 rx.destroyed = True
 
     def finish_tx(self, sender, frame):
@@ -150,6 +143,6 @@ class Medium:
                 dest.current_rx = None
                 dest.counters.collisions += 1
                 return (False, dest)
-            dest.frame_received(rx)
+            dest.frame_received()
             return (True, dest)
         return (False, dest)

@@ -1,6 +1,9 @@
 """Tests for the reassembly buffer, packet arena, and memory accounting."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowpansim.buffers import (
     ARENA_ENTRY_BYTES,
@@ -10,6 +13,8 @@ from lowpansim.buffers import (
     ReassemblyBuffer,
     mem_usage,
 )
+from lowpansim.frag_codec import (MAX_DATAGRAM, POLICIES, CompressionHeader,
+                                  fragment_datagram, refragment_first)
 from lowpansim.link_mac import Frame
 from lowpansim.metrics import NodeCounters
 from lowpansim.sim_core import Simulator
@@ -224,3 +229,47 @@ def test_one_expiry_event_serves_entries_in_deadline_order():
     assert sim._seq == 4                # two inserts, two expiry events
     assert drops == [(1, TIMEOUT + 1), (2, TIMEOUT + 8)]
     assert counters.rbuf_timeout == 2
+
+
+@st.composite
+def _arrivals(draw):
+    """One datagram and fragments covering it, as (offset, bytes) in
+    arrival order: a fragmentation under either policy, its first fragment
+    possibly split by a grown compressed header, plus stray copies of
+    random spans, some overlapping fragment boundaries."""
+    size = draw(st.integers(145, MAX_DATAGRAM))    # too big for one frame
+    datagram = random.Random(draw(st.integers(0, 2 ** 32))).randbytes(size)
+    frags = fragment_datagram(datagram, CompressionHeader(draw(
+        st.integers(0, 40))), 0, 104, draw(st.sampled_from(POLICIES)))
+    if draw(st.booleans()):
+        grown = CompressionHeader(draw(st.integers(0, 40)))
+        frags[:1] = refragment_first(frags[0], grown, 104)
+    pieces = [(f.offset, f.payload) for f in frags]
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, size - 1))
+        end = draw(st.integers(start + 1, min(size, start + 120)))
+        pieces.append((start, datagram[start:end]))
+    return datagram, draw(st.permutations(pieces))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arrivals())
+def test_reassembly_matches_a_byte_set_oracle(case):
+    datagram, pieces = case
+    size = len(datagram)
+    key = DatagramKey(3, 1, size, 77)
+    arena = PacketArena(None)
+    rbuf, counters, drops = make_rbuf(arena=arena)
+    covered, duplicates = set(), 0
+    for offset, payload in pieces:
+        span = set(range(offset, offset + len(payload)))
+        duplicates += bool(span & covered)
+        covered |= span
+        result = rbuf.insert(key, offset, payload, now=0, dgram_id=1)
+        if len(covered) == size:
+            break
+        assert result is None
+    assert result == datagram
+    assert counters.duplicate_fragments == duplicates
+    assert arena.high_water == size and arena.used == 0
+    assert rbuf.live_entries == 0 and drops == []

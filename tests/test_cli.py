@@ -74,6 +74,11 @@ def test_malformed_run_files_exit_2(tmp_path, capsys):
         "text_sent.txt": _edit_sent_column(
             good, lambda cells, col, header:
             cells if header else cells[:col] + ["4.0"] + cells[col + 1:]),
+        # delivered / sent would overflow a float.
+        "huge_delivered.txt": _edit_sent_column(
+            good, lambda cells, col, header:
+            cells if header else cells[:col + 1] + ["9" * 400]
+            + cells[col + 2:]),
     }
     lines = good.split("\n")
     row = lines.index("[latency]") + 2          # first latency row

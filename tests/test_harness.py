@@ -8,11 +8,12 @@ import os
 import statistics
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from lowpansim import harness
+from lowpansim.cli import main
 from lowpansim.harness import (Run, Scenario, ScenarioError, FRAG_COUNT_TABLE,
                                UNBOUNDED_ENTRIES, _render_run, _scenario_block,
                                aggregate_runs, load_scenario, read_run_file,
@@ -303,6 +304,37 @@ def test_lossy_run_conserves_every_datagram(tmp_path):
     assert sent == 4 * 5
     assert delivered < sent          # pdr 0.8 with one retry must lose some
     assert sent == delivered + causes
+
+
+def test_frames_off_their_route_are_violations(tmp_path, monkeypatch, capsys):
+    # Node 2 of a 4-node line hears the sink directly.  Sending there
+    # instead of to its parent, node 1, takes every datagram off its route:
+    # node 2's own and those it forwards for node 3.
+    class Shortcut(harness.Node):
+        def __init__(self, config, *args):
+            if config.id == 2:
+                config = replace(config, route_next_hop=0)
+            super().__init__(config, *args)
+
+    monkeypatch.setattr(harness, "Node", Shortcut)
+    topo = line_topology(4)
+    assert topo.routes[2] == 1 and (0, 2) in topo.links
+    checked = write_scenario(tmp_path, topo)
+    assert main(["run", "--scenario", str(checked),
+                 "--out", str(tmp_path / "on")]) == 1
+    assert "violations: 4" in capsys.readouterr().out
+    text = (tmp_path / "on" / "run-00.txt").read_text()
+    assert [line for line in text.splitlines()
+            if line.startswith("violation")] == [
+        "violations\t4", *("violation\t80\tdatagram %d left its route: "
+                           "[(2, 0)]" % i for i in range(1, 5))]
+
+    unchecked = write_scenario(tmp_path, topo, name="off.json",
+                               check_paths=False)
+    assert main(["run", "--scenario", str(unchecked),
+                 "--out", str(tmp_path / "off")]) == 0
+    assert "violations: 0" in capsys.readouterr().out
+    assert "violation\t" not in (tmp_path / "off" / "run-00.txt").read_text()
 
 
 def test_aggregate_single_run_equals_that_run(tmp_path):

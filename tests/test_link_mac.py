@@ -205,6 +205,59 @@ def test_own_send_waits_for_handover():
     assert rig.macs[2].counters.l2_retransmissions == 0
 
 
+def _tie_at_handover_end(probe, scheduled_before):
+    """Node 1 sends a full frame to node 2 under the default 1,000 us
+    handover; `probe(rig)` runs at exactly the instant the hold ends, from
+    an event scheduled before (t=0) or after (t=4385) the reception ended
+    at 4384."""
+    rig = Rig([(1, 2), (3, 2)], params=dict(min_be=0, max_be=0))
+    assert rig.macs[2].params.rx_handover_us == 1000
+    hold_end = 4384 + 1000
+    rig.macs[1].send(Frame(src=1, dst=2, fragment=full_frame(), dgram_id=1))
+    if scheduled_before:
+        rig.sim.at(hold_end, probe, rig)
+    else:
+        rig.sim.at(4385, lambda: rig.sim.at(hold_end, probe, rig))
+    rig.sim.run()
+    assert rig.delivered[0][2] == 4384
+    return rig, hold_end
+
+
+def _in_flight(mac, frame):
+    """Make `frame` the MAC's frame in flight, as `send` would, without
+    scheduling any of its steps."""
+    mac.arena.alloc(mac.wire_size(frame))
+    mac.current = _Job(frame, mac.wire_size(frame))
+    return mac.current
+
+
+def test_handover_release_ties_go_to_earlier_scheduled_events():
+    # Events at the release instant run in scheduling order: one scheduled
+    # while the frame was still arriving finds the buffer held, one
+    # scheduled after the reception ended finds it free.
+    g = Frame(src=3, dst=2, fragment=small_frame(), dgram_id=3)
+
+    def incoming(rig):
+        rig.macs[3]._tx_start(_in_flight(rig.macs[3], g))
+
+    for before in (True, False):
+        rig, hold_end = _tie_at_handover_end(incoming, before)
+        assert rig.macs[2].counters.busy_losses == int(before)
+        assert ((2, g, hold_end + airtime_us(63)) in rig.delivered) != before
+
+    h = Frame(src=2, dst=1, fragment=small_frame(), dgram_id=2)
+    jobs = []
+
+    def cca(rig):
+        jobs.append(_in_flight(rig.macs[2], h))
+        rig.macs[2]._cca(jobs[-1])
+
+    for before in (True, False):
+        rig, hold_end = _tie_at_handover_end(cca, before)
+        assert jobs[-1].nb == int(before)      # one busy assessment, or none
+        assert (1, h, hold_end + CCA_DUR_US + airtime_us(63)) in rig.delivered
+
+
 class _Clock:
     """Just the simulator surface `Mac._backoff` uses; records each event
     time instead of queueing the event."""

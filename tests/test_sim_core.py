@@ -155,9 +155,10 @@ class _StubMac:
         self.tx_until = 0
         self.rx_busy_until = 0
         self.current_rx = None
+        self.rx_held = False
         self.counters = NodeCounters()
 
-    def frame_received(self, rx):
+    def frame_received(self):
         # Instant handover: the buffer frees as soon as reception ends.
         self.current_rx = None
 
