@@ -67,7 +67,7 @@ class _Entry:
     """A datagram in reassembly: covered[i] is 1 once data[i] arrived."""
 
     __slots__ = ("key", "dgram_id", "deadline", "data", "covered",
-                 "received_bytes")
+                 "held_bytes")
 
     def __init__(self, key, dgram_id, deadline):
         self.key = key
@@ -75,7 +75,7 @@ class _Entry:
         self.deadline = deadline
         self.data = bytearray(key.datagram_size)
         self.covered = bytearray(key.datagram_size)
-        self.received_bytes = 0
+        self.held_bytes = 0      # bytes arrived, each charged once
 
 
 class DeadlineTable:
@@ -87,8 +87,8 @@ class DeadlineTable:
     the simulator, at the earliest deadline + 1, armed by subclasses once
     an entry is stored; that event is the only way an entry expires, so
     an access that runs at deadline + 1 ahead of it still finds the entry.
-    Subclasses define `_expire(entry, now)`, which removes one expired
-    entry.
+    `remove` is the only way an entry leaves, freeing its arena charge
+    `held_bytes`; subclasses define `_expire(entry, now)`.
     """
 
     def __init__(self, sim, capacity, lifetime_us, counters, on_drop, arena):
@@ -107,6 +107,11 @@ class DeadlineTable:
 
     def full(self):
         return len(self.entries) >= self.capacity
+
+    def remove(self, entry):
+        """Take a stored entry out and free its arena charge."""
+        del self.entries[entry.key]
+        self.arena.free(entry.held_bytes)
 
     def expire_due(self, now):
         """Evict the entries past their deadline, earliest first."""
@@ -134,12 +139,8 @@ class DeadlineTable:
 class ReassemblyBuffer(DeadlineTable):
     """Per-node fragment reassembly with timeout and arena accounting."""
 
-    def _discard(self, entry):
-        del self.entries[entry.key]
-        self.arena.free(entry.received_bytes)
-
     def _expire(self, entry, now):
-        self._discard(entry)
+        self.remove(entry)
         self.counters.rbuf_timeout += 1
         if not entry.covered[0]:
             self.counters.rbuf_timeout_no_first += 1
@@ -164,7 +165,7 @@ class ReassemblyBuffer(DeadlineTable):
         new_bytes = len(payload) - seen
         if new_bytes:
             if not self.arena.alloc(new_bytes):
-                self._discard(entry)
+                self.remove(entry)
                 self.counters.pktbuf_full += 1
                 self.on_drop(entry.dgram_id, "pktbuf_full", now)
                 return None
@@ -176,9 +177,9 @@ class ReassemblyBuffer(DeadlineTable):
             else:
                 entry.data[offset:end] = payload
                 covered[offset:end] = b"\x01" * len(payload)
-            entry.received_bytes += new_bytes
-        if entry.received_bytes == key.datagram_size:
-            self._discard(entry)
+            entry.held_bytes += new_bytes
+        if entry.held_bytes == key.datagram_size:
+            self.remove(entry)
             return bytes(entry.data)
         self._arm()
         return None

@@ -5,6 +5,8 @@ top five bits, an 11-bit datagram size, and a 16-bit datagram tag.  A FRAGN
 header is 5 bytes: dispatch 0b11100, same size and tag fields, plus one byte
 giving the offset of the fragment in units of 8 bytes of the uncompressed
 datagram.  Every fragment except the last must cover a multiple of 8 bytes.
+A run carries header objects, not bytes: `encode_header`/`decode_header`
+are this wire format, checked by acceptance criterion a01.
 
 Datagram model: an IPv6 datagram whose first HEADER_REGION (40) bytes are the
 IPv6 header.  Header compression replaces exactly that region on the wire

@@ -323,7 +323,18 @@ _TABLES = (
     ("node_counters", ("payload",), "nodes", NodeRow),
     ("loss_causes", ("payload",), "causes", Cause),
 )
-_CELL_TYPES = {"pdr": float, "cause": str}      # every other cell is an int
+
+
+def _int_cell(cell):
+    """An integer cell below 2**63 in magnitude, as every simulation
+    writes; a far larger one would overflow the aggregate's float means."""
+    value = int(cell)
+    if not -(1 << 63) < value < 1 << 63:
+        raise ScenarioError("integer cell out of range: %.20s..." % cell)
+    return value
+
+
+_CELL_TYPES = {"pdr": float, "cause": str}    # every other cell is _int_cell
 
 
 def _path_edges(topo, source):
@@ -456,6 +467,8 @@ def _simulate(scenario, topo, seed, payload):
                               % (nid, node.arena.used))
         if node.rbuf.live_entries or node.vrb.live_entries:
             violations.append("node %d still holds reassembly state" % nid)
+        if node.tags.live:
+            violations.append("node %d still holds datagram tags" % nid)
         if node.frag_jobs or node.mac.queue or node.mac.current:
             violations.append("node %d still holds frames" % nid)
     return result
@@ -604,7 +617,7 @@ def _parse_run(text):
             if len(cells) != len(columns):
                 raise ScenarioError("[%s] row of %d cells, not %d"
                                     % (section, len(cells), len(columns)))
-            values = [_CELL_TYPES.get(name, int)(cell)
+            values = [_CELL_TYPES.get(name, _int_cell)(cell)
                       for name, cell in zip(columns, cells)]
             if rows is None:            # pdr is derived, so only checked
                 r = Record(**dict(zip(lead[:-1], values)))

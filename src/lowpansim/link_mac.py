@@ -90,7 +90,7 @@ class _Job:
 
 
 class Mac:
-    """Per-node MAC entity; registers itself with the medium.
+    """Per-node MAC entity; the medium reaches it through its links.
 
     `on_deliver(frame, now)` receives each frame that arrived intact and
     was acked; `on_frame_done(frame, ok, cause)` ends each frame sent.
@@ -121,7 +121,6 @@ class Mac:
         self.current_rx = None
         self.rx_held = False
         self._service_at = None
-        medium.register(self)
 
     # -- helpers ------------------------------------------------------------
 

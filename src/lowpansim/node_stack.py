@@ -75,10 +75,9 @@ class _FragJob:
     """One local fragmentation; holds its tag and a fragmentation slot
     until all its frames left the MAC."""
 
-    __slots__ = ("next_hop", "tag", "remaining")
+    __slots__ = ("tag", "remaining")
 
-    def __init__(self, next_hop, tag):
-        self.next_hop = next_hop
+    def __init__(self, tag):
         self.tag = tag
         self.remaining = 0
 
@@ -118,17 +117,16 @@ class Node:
         return self._send_fragments(datagram, dgram_id)
 
     def _send_fragments(self, datagram, dgram_id):
-        next_hop = self.config.route_next_hop
+        me, next_hop = self.config.id, self.config.route_next_hop
         if self.frag_jobs >= self.stack.frag_buffer_slots:
             self.counters.frag_buf_full += 1
             self.on_drop(dgram_id, "frag_buf_full", self.sim.now)
             return False
         self.frag_jobs += 1
-        job = _FragJob(next_hop, self.tags.acquire(next_hop))
+        job = _FragJob(self.tags.acquire())
         frags = fragment_datagram(datagram, self.comp, job.tag, self.sdu,
                                   self.strategy.policy)
         job.remaining = len(frags)
-        me = self.config.id
         for frag in frags:
             self.mac.send(Frame(me, next_hop, frag, dgram_id, job))
         return True
@@ -141,7 +139,7 @@ class Node:
             job.remaining -= 1
             if job.remaining == 0:
                 self.frag_jobs -= 1
-                self.tags.release(job.next_hop, job.tag)
+                self.tags.release(job.tag)
 
     # -- receiving ------------------------------------------------------
 
@@ -195,8 +193,7 @@ class Node:
         if self.vrb.lookup(key) is not None:
             self.counters.duplicate_fragments += 1
             return
-        entry = self.vrb.create(key, self.config.route_next_hop, now,
-                                dgram_id)
+        entry = self.vrb.create(key, now, dgram_id)
         if entry is None:                # table full: reassemble instead
             self._reassemble_step(key, frag, dgram_id, now)
             return
@@ -223,8 +220,8 @@ class Node:
 
     def _vrb_emit(self, entry, frags, dgram_id):
         """Send right away (FF) or park in the entry queue (FF_QUEUED)."""
-        me = self.config.id
-        frames = [Frame(me, entry.next_hop, f, dgram_id, None) for f in frags]
+        me, next_hop = self.config.id, self.config.route_next_hop
+        frames = [Frame(me, next_hop, f, dgram_id, None) for f in frags]
         if not self.strategy.queue:
             for fr in frames:
                 self.mac.send(fr)
@@ -234,7 +231,7 @@ class Node:
 
     def _vrb_flush(self, entry):
         """The datagram has fully passed; release (and drain) the entry."""
-        self.vrb.remove(entry.key)       # the MAC re-charges each frame
+        self.vrb.remove(entry)           # the MAC re-charges each frame
         if entry.queued:
             self.counters.datagrams_forwarded += 1
             for fr in entry.queued:

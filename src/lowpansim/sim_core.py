@@ -24,7 +24,8 @@ The medium models a single channel:
   each copy elsewhere is judged on its own.
 
 Transceiver state lives on the MAC objects (tx_until, rx_busy_until,
-current_rx, rx_held, counters); the medium only reads and updates it.
+current_rx, rx_held, counters); the medium only reads and updates it,
+reaching each MAC through one link map that `add_link` alone builds.
 """
 
 import heapq
@@ -87,47 +88,39 @@ class RxState:
 
 
 class Medium:
-    """Single shared channel with per-link PDR and collision semantics."""
+    """Single shared channel with per-link PDR and collision semantics;
+    `links[node_id]` maps each neighbour's id to its (mac, pdr)."""
 
-    __slots__ = ("rng", "macs", "neighbors", "link_pdr")
+    __slots__ = ("rng", "links")
 
     def __init__(self, sim):
         self.rng = sim.rng
-        self.macs = {}
-        self.neighbors = {}   # node_id -> list of in-range macs
-        self.link_pdr = {}    # (src_id, dst_id) -> pdr
-
-    def register(self, mac):
-        self.macs[mac.node_id] = mac
-        self.neighbors.setdefault(mac.node_id, [])
+        self.links = {}
 
     def add_link(self, a, b, pdr):
-        """Symmetric audibility between two registered macs."""
-        self.neighbors[a.node_id].append(b)
-        self.neighbors[b.node_id].append(a)
-        self.link_pdr[(a.node_id, b.node_id)] = pdr
-        self.link_pdr[(b.node_id, a.node_id)] = pdr
+        """Symmetric audibility between two macs."""
+        self.links.setdefault(a.node_id, {})[b.node_id] = (b, pdr)
+        self.links.setdefault(b.node_id, {})[a.node_id] = (a, pdr)
 
     def begin_tx(self, sender, frame, t0, t1):
         """Account a transmission over [t0, t1) at every in-range node.
         The frame's destination is a neighbor: nodes send only along
         route edges, and every route edge has a link."""
-        pdr = self.link_pdr[(sender.node_id, frame.dst)]
+        links = self.links[sender.node_id]
+        dest, pdr = links[frame.dst]
         if pdr < 1.0 and self.rng.random() >= pdr:
             sender.counters.channel_losses += 1
-        else:
-            dest = self.macs[frame.dst]
-            if dest.tx_until > t0 or dest.rx_held:
-                # Transmitting, or still holding an earlier reception.
-                dest.counters.busy_losses += 1
-            elif dest.rx_busy_until > t0:
-                if dest.current_rx is not None:
-                    dest.counters.collisions += 1
-                else:
-                    dest.counters.busy_losses += 1
+        elif dest.tx_until > t0 or dest.rx_held:
+            # Transmitting, or still holding an earlier reception.
+            dest.counters.busy_losses += 1
+        elif dest.rx_busy_until > t0:
+            if dest.current_rx is not None:
+                dest.counters.collisions += 1
             else:
-                dest.current_rx = RxState(frame)
-        for nbr in self.neighbors[sender.node_id]:
+                dest.counters.busy_losses += 1
+        else:
+            dest.current_rx = RxState(frame)
+        for nbr, _ in links.values():
             if nbr.rx_busy_until < t1:
                 nbr.rx_busy_until = t1
             rx = nbr.current_rx
@@ -136,7 +129,7 @@ class Medium:
 
     def finish_tx(self, sender, frame):
         """Resolve a transmission; returns (delivered, dest_mac)."""
-        dest = self.macs[frame.dst]
+        dest = self.links[sender.node_id][frame.dst][0]
         rx = dest.current_rx
         if rx is not None and rx.frame is frame:
             if rx.destroyed:

@@ -82,7 +82,7 @@ def test_rbuf_full_drops_new_key_without_eviction():
     assert list(rbuf.entries) == [KEY]
     # The old entry is untouched (no aggressive override).
     rbuf.insert(KEY, 8, b"x" * 8, now=2, dgram_id=1)
-    assert rbuf.entries[KEY].received_bytes == 16
+    assert rbuf.entries[KEY].held_bytes == 16
 
 
 def test_expiry_is_strict_and_flags_missing_first_fragment():
@@ -172,7 +172,7 @@ def test_entries_expire_through_the_tables_own_event():
 
     def store():
         rbuf.insert(KEY, 8, b"z" * 8, sim.now, dgram_id=1)
-        entry = vrb.create(KEY2, next_hop=2, now=sim.now, dgram_id=2)
+        entry = vrb.create(KEY2, now=sim.now, dgram_id=2)
         vrb.enqueue(entry, Frame(4, 2, None, 2), 60)
 
     def probe():
@@ -208,7 +208,7 @@ def test_access_scheduled_before_the_expiry_event_finds_the_entry():
 
     sim.at(TIMEOUT + 1, access)
     rbuf.insert(KEY, 0, b"a" * 8, 0, dgram_id=1)
-    entry = vrb.create(KEY2, next_hop=2, now=0, dgram_id=2)
+    entry = vrb.create(KEY2, now=0, dgram_id=2)
     vrb.enqueue(entry, Frame(4, 2, None, 2), 60)
     sim.run()
     assert seen == [b"a" * 8 + b"b" * 16, entry]

@@ -62,6 +62,17 @@ def _edit_sent_column(text, edit):
     return "\n".join(lines)
 
 
+def _edit_first_row(text, section, column, value):
+    """`text` with `column` of the first row of [section] set to value."""
+    lines = text.split("\n")
+    start = lines.index("[%s]" % section) + 1
+    col = lines[start].split("\t").index(column)
+    cells = lines[start + 1].split("\t")
+    cells[col] = value
+    lines[start + 1] = "\t".join(cells)
+    return "\n".join(lines)
+
+
 def test_malformed_run_files_exit_2(tmp_path, capsys):
     scn = write_scenario(tmp_path, line_topology(4))
     outdir = tmp_path / "out"
@@ -79,6 +90,12 @@ def test_malformed_run_files_exit_2(tmp_path, capsys):
             good, lambda cells, col, header:
             cells if header else cells[:col + 1] + ["9" * 400]
             + cells[col + 2:]),
+        # Past 2**63: no simulation writes such a cell, and a float cannot
+        # hold the aggregate's means of it.
+        "huge_latency.txt": _edit_first_row(
+            good, "latency", "latency_us", "9" * 400),
+        "huge_counter.txt": _edit_first_row(
+            good, "node_counters", "l2_retransmissions", "9" * 400),
     }
     lines = good.split("\n")
     row = lines.index("[latency]") + 2          # first latency row

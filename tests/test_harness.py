@@ -337,6 +337,34 @@ def test_frames_off_their_route_are_violations(tmp_path, monkeypatch, capsys):
     assert "violation\t" not in (tmp_path / "off" / "run-00.txt").read_text()
 
 
+def test_leaked_datagram_tags_are_violations(tmp_path, monkeypatch, capsys):
+    # Node 3 takes one extra tag with its first datagram and never gives it
+    # back; every datagram still arrives, but the drain check names node 3.
+    class Leaky(harness.Node):
+        def __init__(self, config, *args):
+            super().__init__(config, *args)
+            if config.id == 3:
+                acquire, leaked = self.tags.acquire, []
+
+                def acquire_and_leak_once():
+                    if not leaked:
+                        leaked.append(acquire())
+                    return acquire()
+
+                self.tags.acquire = acquire_and_leak_once
+
+    monkeypatch.setattr(harness, "Node", Leaky)
+    scn = write_scenario(tmp_path, line_topology(4))
+    assert main(["run", "--scenario", str(scn),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "violations: 1" in capsys.readouterr().out
+    text = (tmp_path / "out" / "run-00.txt").read_text()
+    assert [line for line in text.splitlines()
+            if line.startswith("violation")] == [
+        "violations\t1", "violation\t80\tnode 3 still holds datagram tags"]
+    assert "80\t2\t4\t4\t1.0" in text.splitlines()       # all delivered
+
+
 def test_aggregate_single_run_equals_that_run(tmp_path):
     scn = load_scenario(write_scenario(tmp_path, line_topology(4)))
     files, _ = run_experiment(scn, tmp_path / "out")

@@ -105,8 +105,7 @@ def test_hwr_reassembles_then_refragments():
     assert line.drops == []
     for node in line.nodes:
         assert node.arena.used == 0
-        for nbr in (node.config.id - 1, node.config.id + 1):
-            assert node.tags.live_count(nbr) == 0
+        assert not node.tags.live
 
 
 def test_ff_cut_through_keeps_rbuf_empty():
@@ -123,6 +122,49 @@ def test_ff_cut_through_keeps_rbuf_empty():
     assert fwd.vrb.live_entries == 0              # released on last fragment
     assert fwd.counters.vrb_expired == 0
     assert fwd.counters.datagrams_forwarded == 1
+
+
+def test_ff_forwarder_tags_own_and_passing_datagrams_from_one_sequence():
+    # The forwarder originates datagram 2 while datagram 1 passes through
+    # its VRB entry: both outgoing datagrams draw from the node's one tag
+    # sequence, and no tag is handed out while it is still live.
+    line = Line(3, "FF", mac=REAL)
+    fwd = line.nodes[1]
+    acquired, acquire = [], fwd.tags.acquire
+
+    def logged_acquire():
+        live = set(fwd.tags.live)
+        tag = acquire()
+        acquired.append((tag, live))
+        return tag
+
+    def originate():
+        assert fwd.vrb.live_entries == 1          # datagram 1 still passing
+        fwd.app_send(272, 2)
+
+    create = fwd.vrb.create
+
+    def create_then_originate(*args):
+        line.sim.at(line.sim.now + 1, originate)
+        return create(*args)
+
+    fwd.tags.acquire = logged_acquire
+    fwd.vrb.create = create_then_originate
+    sink_rx, deliver = [], line.nodes[2].mac.on_deliver
+
+    def tagged_deliver(frame, now):
+        sink_rx.append((frame.dgram_id, frame.fragment.header.datagram_tag))
+        deliver(frame, now)
+
+    line.nodes[2].mac.on_deliver = tagged_deliver
+    line.send(272, 1)
+    line.run()
+
+    assert line.drops == []
+    assert sorted(g[0] for g in line.got) == [1, 2]
+    assert acquired == [(0, set()), (1, {0})]
+    assert sorted(set(sink_rx)) == [(1, 0), (2, 1)]
+    assert not fwd.tags.live
 
 
 def test_ff_pipelining_beats_hwr_on_a_long_line():
@@ -288,7 +330,7 @@ def test_mac_exhaustion_is_attributed_to_the_datagram():
     assert line.got == []
     assert {d for d in line.drops} == {(1, 7, "retrans_exhausted")}
     assert fwd.counters.l2_retransmissions == 12   # 4 frames x 3 attempts
-    assert fwd.tags.live_count(2) == 0
+    assert not fwd.tags.live
     assert fwd.arena.used == 0
 
 

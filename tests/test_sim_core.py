@@ -171,8 +171,6 @@ def _mk_medium(pdr=1.0, seed=7):
     sim = Simulator(seed=seed)
     medium = Medium(sim)
     a, b = _stub(1), _stub(2)
-    medium.register(a)
-    medium.register(b)
     medium.add_link(a, b, pdr)
     return sim, medium, a, b
 
@@ -214,8 +212,6 @@ def test_overlapping_transmissions_destroy_both():
     sim = Simulator(seed=7)
     medium = Medium(sim)
     a, b, c = _stub(1), _stub(2), _stub(3)
-    for m in (a, b, c):
-        medium.register(m)
     medium.add_link(a, c, 1.0)
     medium.add_link(b, c, 1.0)
     f1 = _Frame(1, 3)
