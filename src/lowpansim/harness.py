@@ -165,7 +165,7 @@ class Scenario:
     mac: MacParams = _key(_params(
         MacParams, max_retransmissions=_int(0), min_be=_int(0),
         max_be=_int(0), max_csma_backoffs=_int(0), ack_timeout_us=_int(0),
-        queue_retry_us=_int(0), queue_capacity=_int(0, null=None),
+        queue_retry_us=_int(1), queue_capacity=_int(0, null=None),
         l2_overhead=_int(0), rx_handover_us=_int(0)), MacParams())
     stack: StackParams = _key(_params(
         StackParams, comp_header_bytes=_int(0),
@@ -249,11 +249,11 @@ def _render_value(value):
     return str(value)
 
 
-def scenario_fingerprint(scenario, topology_bytes):
-    # The topology enters by content, not by file name.
+def scenario_fingerprint(scenario, topology_sha256):
+    # The topology enters by content (its file's SHA-256), not by file name.
     ident = {f.name: _plain(getattr(scenario, f.name)) for f in _KEY_FIELDS
              if f.name != "topology"}
-    ident["topology_sha256"] = hashlib.sha256(topology_bytes).hexdigest()
+    ident["topology_sha256"] = topology_sha256
     blob = json.dumps(ident, sort_keys=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()
 
@@ -415,7 +415,7 @@ def _simulate(scenario, topo, seed, payload):
     # at a time (given lo exceeds a train's transit time); otherwise each
     # sender runs its own clock.
     lo, hi = scenario.interval_us
-    count, order = scenario.packets_per_source, sorted(topo.senders())
+    count, order = scenario.packets_per_source, topo.senders()
     if scenario.serialize_sends:
         plan = [(nid, None) for _ in range(count) for nid in order]
     else:
@@ -560,14 +560,13 @@ def run_experiment(scenario, outdir, jobs=None):
     """Simulate every (seed, payload) pair on up to `jobs` worker processes
     (None: every usable CPU); write one metrics file per seed plus
     aggregate.json. Returns the written paths and the aggregate."""
-    topo = load_topology(scenario.topology_path())
+    topo_path = scenario.topology_path()
+    topo = load_topology(topo_path)
     if not topo.senders():
         raise ScenarioError("topology %s has no sender: every member is the "
-                            "sink or one hop from it"
-                            % scenario.topology_path())
-    topo_bytes = scenario.topology_path().read_bytes()
-    fingerprint = scenario_fingerprint(scenario, topo_bytes)
-    topo_sha = hashlib.sha256(topo_bytes).hexdigest()
+                            "sink or one hop from it" % topo_path)
+    topo_sha = hashlib.sha256(topo_path.read_bytes()).hexdigest()
+    fingerprint = scenario_fingerprint(scenario, topo_sha)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results = run_one(scenario, topo, jobs)

@@ -1,12 +1,12 @@
 """Network layout: site plans, distance based link quality, route trees.
 
-A site plan is just node positions. A topology is the subset of nodes
-admitted to the network plus a routing tree toward the sink and a link
-quality map. Members are picked by a breadth first sampling walk: each
-visited node draws one to three unvisited nodes from the 2.2 m to 6.6 m
-ring around it (the sink draws exactly two) until fifty members exist.
-Links shorter than 2.2 m never become tree edges but still carry
-traffic and interference at perfect delivery.
+A site plan is a dict of node positions, {node id: (x, y, z)}. A topology
+is the subset of nodes admitted to the network plus a routing tree toward
+the sink and a link quality map. Members are picked by a breadth first
+sampling walk: each visited node draws one to three unvisited nodes from
+the 2.2 m to 6.6 m ring around it (the sink draws exactly two) until fifty
+members exist. Links shorter than 2.2 m never become tree edges but still
+carry traffic and interference at perfect delivery.
 """
 
 import math
@@ -41,60 +41,34 @@ def link_pdr(distance_m):
     return 1.0 - (1.0 - PDR_FAR) * frac
 
 
-class SitePlan:
-    """Candidate node positions on a floor, keyed by integer id."""
-
-    __slots__ = ("positions",)
-
-    def __init__(self, nodes):
-        positions = {}
-        for nid, x, y, z in nodes:
-            nid = int(nid)
-            if nid < 0 or nid in positions:
-                raise ValueError("bad or duplicate node id %r" % (nid,))
-            pos = (float(x), float(y), float(z))
-            if not all(math.isfinite(c) for c in pos):
-                raise ValueError("non-finite coordinate for node %d" % nid)
-            positions[nid] = pos
-        if not positions:
-            raise ValueError("empty site plan")
-        self.positions = positions
-
-
 def grid_office_plan(seed=0):
     """Synthetic floor: a dense 7x7 instrument room plus a strip of
     offices with desk pairs marching away from it."""
     rng = random.Random(seed)
-    nodes = []
-    nid = 0
+    plan = {}
     for gy in range(7):
         for gx in range(7):
             x = gx * 3.0 + rng.uniform(-0.3, 0.3)
             y = gy * 3.0 + rng.uniform(-0.3, 0.3)
-            nodes.append((nid, round(x, 3), round(y, 3), 0.0))
-            nid += 1
+            plan[len(plan)] = (round(x, 3), round(y, 3), 0.0)
     for k in range(10):
         bx = 21.0 + k * 5.8
         by = 9.0 + rng.uniform(-1.0, 1.0)
-        nodes.append((nid, round(bx, 3), round(by, 3), 0.0))
-        nid += 1
+        plan[len(plan)] = (round(bx, 3), round(by, 3), 0.0)
         # desk mate: inside interference range, never a tree child
-        nodes.append((nid, round(bx + 1.2, 3), round(by + 0.5, 3), 0.0))
-        nid += 1
-    return SitePlan(nodes)
+        plan[len(plan)] = (round(bx + 1.2, 3), round(by + 0.5, 3), 0.0)
+    return plan
 
 
-def _hop_distances(sink, routes, members):
+def _hop_distances(sink, routes):
     depth = {sink: 0}
-    for nid in members:
+    for nid in routes:
         path = []
         cur = nid
         while cur not in depth:
             if cur in path:
                 raise ValueError("route cycle through node %d" % cur)
             path.append(cur)
-            if cur not in routes:
-                raise ValueError("node %d has no route to the sink" % cur)
             cur = routes[cur]
         base = depth[cur]
         for i, hop in enumerate(reversed(path), start=1):
@@ -140,16 +114,12 @@ class Topology:
             if math.dist(self.positions[a], self.positions[b]) > GATE_FAR_M + 1e-9:
                 raise ValueError("link (%d, %d) longer than %.1f m"
                                  % (a, b, GATE_FAR_M))
-        self.hop_distance = _hop_distances(sink, self.routes, self.routes)
+        self.hop_distance = _hop_distances(sink, self.routes)
         self.members = tuple(sorted(ids))
 
-    def sink_children(self):
-        return sorted(c for c, p in self.routes.items() if p == self.sink)
-
     def senders(self):
-        skip = set(self.sink_children())
-        skip.add(self.sink)
-        return tuple(n for n in self.members if n not in skip)
+        """Members two or more hops from the sink, in member order."""
+        return tuple(n for n in self.members if self.hop_distance[n] >= 2)
 
 
 def _member_links(positions):
@@ -165,7 +135,7 @@ def _member_links(positions):
 
 def build_topology(plan, sink, seed, member_target=MEMBER_TARGET):
     """Sample a routing tree from the plan by the breadth first walk."""
-    if sink not in plan.positions:
+    if sink not in plan:
         raise TopologyRequestError("sink %d not in plan" % sink)
     if member_target < 3:
         raise TopologyRequestError("member target %d cannot fit the sink and "
@@ -176,8 +146,8 @@ def build_topology(plan, sink, seed, member_target=MEMBER_TARGET):
     queue = deque([sink])
     while queue and len(visited) < member_target:
         head = queue.popleft()
-        hx = plan.positions[head]
-        cands = sorted(n for n, pos in plan.positions.items()
+        hx = plan[head]
+        cands = sorted(n for n, pos in plan.items()
                        if n not in visited
                        and GATE_NEAR_M <= math.dist(hx, pos) <= GATE_FAR_M)
         if head == sink:
@@ -196,7 +166,7 @@ def build_topology(plan, sink, seed, member_target=MEMBER_TARGET):
     if len(visited) < member_target:
         raise GenerationError("plan exhausted at %d of %d members"
                               % (len(visited), member_target))
-    positions = {n: plan.positions[n] for n in visited}
+    positions = {n: plan[n] for n in visited}
     return Topology(sink, positions, routes, _member_links(positions))
 
 
@@ -241,10 +211,6 @@ def save_topology(topo, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_error(lineno, text):
-    return TopologyFileError("line %d: %s" % (lineno, text))
-
-
 def load_topology(path):
     sink = None
     positions = {}
@@ -266,29 +232,27 @@ def load_topology(path):
             kind = parts[0]
             if kind == "sink" and len(parts) == 2:
                 if sink is not None:
-                    raise _parse_error(lineno, "second sink line")
+                    raise ValueError("second sink line")
                 sink = int(parts[1])
             elif kind == "node" and len(parts) == 5:
                 nid = int(parts[1])
                 if nid in positions:
-                    raise _parse_error(lineno, "duplicate node %d" % nid)
+                    raise ValueError("duplicate node %d" % nid)
                 positions[nid] = tuple(float(v) for v in parts[2:5])
             elif kind == "route" and len(parts) == 3:
                 child, parent = int(parts[1]), int(parts[2])
                 if child in routes:
-                    raise _parse_error(lineno, "duplicate route for %d" % child)
+                    raise ValueError("duplicate route for %d" % child)
                 routes[child] = parent
             elif kind == "link" and len(parts) == 4:
                 a, b = int(parts[1]), int(parts[2])
                 if (a, b) in links:
-                    raise _parse_error(lineno, "duplicate link %d %d" % (a, b))
+                    raise ValueError("duplicate link %d %d" % (a, b))
                 links[(a, b)] = float(parts[3])
             else:
-                raise _parse_error(lineno, "unrecognized line %r" % line)
+                raise ValueError("unrecognized line %r" % line)
         except ValueError as err:
-            if isinstance(err, TopologyFileError):
-                raise
-            raise _parse_error(lineno, str(err)) from None
+            raise TopologyFileError("line %d: %s" % (lineno, err)) from None
     if sink is None:
         raise TopologyFileError("file has no sink line")
     try:

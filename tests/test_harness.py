@@ -93,6 +93,7 @@ def test_scenario_validation(tmp_path):
         {"mac": {"min_be": "3"}},
         {"mac": {"min_be": 3, "max_be": 1}},
         {"mac": {"l2_overhead": 200}},
+        {"mac": {"queue_retry_us": 0}},
         {"stack": {"proc_delay_us": -5}},
         {"stack": {"comp_header_bytes": 41}},
         {"version": 2},
@@ -123,10 +124,10 @@ def test_every_scenario_key_changes_fingerprint_and_run_file(tmp_path):
 
     def identity(**over):
         scn = load_scenario(write_scenario(tmp_path, line_topology(4), **over))
-        topo = scn.topology_path().read_bytes()
-        fingerprint = scenario_fingerprint(scn, topo)
-        text = _render_run(Run(_scenario_block(
-            scn, fingerprint, hashlib.sha256(topo).hexdigest(), 0, 1), []))
+        topo_sha = hashlib.sha256(scn.topology_path().read_bytes()).hexdigest()
+        fingerprint = scenario_fingerprint(scn, topo_sha)
+        text = _render_run(Run(_scenario_block(scn, fingerprint, topo_sha,
+                                               0, 1), []))
         return fingerprint, text[:text.index("[summary]")]
 
     base = identity()

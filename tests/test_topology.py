@@ -5,7 +5,7 @@ import math
 import pytest
 
 from lowpansim.topology import (GATE_FAR_M, GATE_NEAR_M, GenerationError,
-                                SitePlan, Topology, TopologyFileError,
+                                Topology, TopologyFileError,
                                 build_topology, find_topology,
                                 grid_office_plan, link_pdr, load_topology,
                                 save_topology)
@@ -19,19 +19,12 @@ def test_link_pdr_profile():
     assert link_pdr(GATE_FAR_M + 0.01) == 0.0
 
 
-def test_site_plan_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SitePlan([(1, 0.0, 0.0, 0.0), (1, 3.0, 0.0, 0.0)])   # dup id
-    with pytest.raises(ValueError):
-        SitePlan([(1, float("nan"), 0.0, 0.0)])
-
-
 def test_grid_office_plan_has_two_density_regimes():
     plan = grid_office_plan(seed=0)
-    ids = sorted(plan.positions)
+    ids = sorted(plan)
     assert len(ids) >= 60
     dists = []
-    pts = list(plan.positions.values())
+    pts = list(plan.values())
     for i, a in enumerate(pts):
         for b in pts[i + 1:]:
             dists.append(math.dist(a, b))
@@ -40,7 +33,11 @@ def test_grid_office_plan_has_two_density_regimes():
 
 
 def line_plan(n, pitch=3.0):
-    return SitePlan([(i, i * pitch, 0.0, 0.0) for i in range(n)])
+    return {i: (i * pitch, 0.0, 0.0) for i in range(n)}
+
+
+def sink_children(topo):
+    return sorted(c for c, p in topo.routes.items() if p == topo.sink)
 
 
 def test_build_topology_shape_and_determinism():
@@ -51,7 +48,7 @@ def test_build_topology_shape_and_determinism():
 
     assert len(topo.members) == 50
     assert topo.sink == 0
-    assert len(topo.sink_children()) == 2
+    assert len(sink_children(topo)) == 2
     assert topo.hop_distance[topo.sink] == 0
     for child, parent in topo.routes.items():
         d = math.dist(topo.positions[child], topo.positions[parent])
@@ -74,16 +71,14 @@ def test_senders_exclude_sink_and_its_children():
     topo = build_topology(grid_office_plan(seed=0), sink=0, seed=5)
     senders = topo.senders()
     assert len(senders) == 47
-    assert topo.sink not in senders
-    for child in topo.sink_children():
-        assert child not in senders
+    skip = {topo.sink, *sink_children(topo)}
+    assert senders == tuple(n for n in topo.members if n not in skip)
 
 
 def test_too_dense_plan_fails_generation():
     # 60 nodes inside a 2 m square: nothing sits in the 2.2..6.6 ring,
     # so the sink has no candidates at all.
-    cluster = SitePlan([(i, (i % 8) * 0.2, (i // 8) * 0.2, 0.0)
-                        for i in range(60)])
+    cluster = {i: ((i % 8) * 0.2, (i // 8) * 0.2, 0.0) for i in range(60)}
     with pytest.raises(GenerationError):
         build_topology(cluster, sink=0, seed=1)
 
@@ -94,10 +89,10 @@ def test_exhaustion_before_target_raises():
 
 
 def test_sink_with_exactly_two_candidates_takes_both():
-    plan = SitePlan([(0, 0.0, 0.0, 0.0), (1, 3.0, 0.0, 0.0),
-                     (2, 0.0, 3.0, 0.0), (3, 50.0, 50.0, 0.0)])
+    plan = {0: (0.0, 0.0, 0.0), 1: (3.0, 0.0, 0.0),
+            2: (0.0, 3.0, 0.0), 3: (50.0, 50.0, 0.0)}
     topo = build_topology(plan, sink=0, seed=9, member_target=3)
-    assert sorted(topo.sink_children()) == [1, 2]
+    assert sink_children(topo) == [1, 2]
     assert topo.hop_distance == {0: 0, 1: 1, 2: 1}
 
 
@@ -142,7 +137,7 @@ def test_pinned_fixture_shape():
                            .joinpath("topology50.txt")) as path:
         topo = load_topology(path)
     assert len(topo.members) == 50
-    assert len(topo.sink_children()) == 2
+    assert len(sink_children(topo)) == 2
     assert len(topo.senders()) == 47
     assert max(topo.hop_distance.values()) == 6
     rebuilt = build_topology(grid_office_plan(seed=0), sink=0, seed=0)
@@ -167,10 +162,17 @@ NEGATIVE_ID = ("topology v1\nsink 0\nnode 0 0.0 0.0 0.0\nnode -1 3.0 0.0 0.0\n"
 @pytest.mark.parametrize("data, message", [
     (_TWO_NODES % b"3.0" + b"link 0 1 0.5\n", "line 7: duplicate link 0 1"),
     (_TWO_NODES % b"3.0" + b"sink 1\n", "line 7: second sink line"),
+    (_TWO_NODES % b"3.0" + b"node 1 3.0 0.0 0.0\n",
+     "line 7: duplicate node 1"),
+    (_TWO_NODES % b"3.0" + b"route 1 0\n", "line 7: duplicate route for 1"),
+    (_TWO_NODES % b"x", "line 4: could not convert string to float: 'x'"),
+    (_TWO_NODES % b"3.0" + b"edge 0 1\n",
+     "line 7: unrecognized line 'edge 0 1'"),
     (_TWO_NODES % b"nan", "non-finite coordinate for node 1"),
     (_TWO_NODES % b"3.0" + b"# caf\xe9\n", "not ASCII"),
     (NEGATIVE_ID.encode(), "negative node id -1"),
-], ids=("repeated-link", "repeated-sink", "nan", "non-ascii", "negative-id"))
+], ids=("repeated-link", "repeated-sink", "repeated-node", "repeated-route",
+        "bad-number", "unknown-kind", "nan", "non-ascii", "negative-id"))
 def test_load_rejects_malformed_files(tmp_path, data, message):
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
