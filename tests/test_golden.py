@@ -1,10 +1,11 @@
 """Byte-level pin of `lowpansim run` output across commits.
 
 Every run file and aggregate.json of each strategy on the packaged
-topology is hashed, under the default lossy settings and under the
+topology is hashed, under the default lossy settings, under the
 lossless-oracle settings (unbounded buffers, lossless links, serialized
-sends).  test_a11 only compares two runs of one commit; this test also
-catches drift between commits.  A change that alters behaviour on purpose
+sends), and under edge settings that drive the MAC and the tables into
+their failure paths.  test_a11 only compares two runs of one commit; this
+test also catches drift between commits.  A change that alters behaviour on purpose
 replaces the digests below with the ones the failure message prints and
 says why.
 """
@@ -31,9 +32,46 @@ SETTINGS = {
                 "min_be": 6, "max_be": 8},
         "stack": {"frag_buffer_slots": None, "arena_bytes": None},
     },
+    # The MAC's and the tables' edge paths: zero-width first backoffs, one
+    # CCA retry, ack timeouts of 0, a processing delay that ties with
+    # backoff slots, and tables, queue and arena small enough to overflow.
+    "edges": {
+        "interval_us": [200_000, 1_000_000],
+        "rbuf_entries": 2, "vrb_entries": 2,
+        "mac": {"min_be": 0, "max_be": 3, "max_csma_backoffs": 1,
+                "max_retransmissions": 2, "queue_capacity": 4,
+                "ack_timeout_us": 0},
+        "stack": {"proc_delay_us": 640, "arena_bytes": 1500,
+                  "reassembly_timeout_us": 200_000,
+                  "vrb_lifetime_us": 200_000},
+    },
 }
 
 GOLDEN = {
+    ("edges", "HWR"): {
+        "aggregate.json":
+            "a5b013c89bd6856a8c3c4c5dc4bc15629c95cf0114b402193a828014ea56c4de",
+        "run-00.txt":
+            "a0e2ae33a484ba9d2bc88f30fee8d13d5fc2046f20b5e35dee1f6da5f3c27434",
+        "run-01.txt":
+            "389ced815e9da79cab78f9322563cbd7c0bed60aa49e8f189914cc4aa4cf4500",
+    },
+    ("edges", "FF"): {
+        "aggregate.json":
+            "6026974e6315cd103e6f4b910018e542f73716b06891702556105450c5dc97f9",
+        "run-00.txt":
+            "16441c5ed480a7587b436162e5f5715310088e0c00c181167d993169a9aadab1",
+        "run-01.txt":
+            "1275deba8f4d6e8e8e09ed7343f060e6afba4a37387c188f8903a94e3ef9c199",
+    },
+    ("edges", "FF_QUEUED"): {
+        "aggregate.json":
+            "3b7fe228bdcc557a5df7dfc67f70098ebc5218eb55ee7f007bb5349fa97b8ffc",
+        "run-00.txt":
+            "3e936c84d0cd877b1b92728c9d935254e79941b4de5ce9b1b825cb3ac04a24aa",
+        "run-01.txt":
+            "bd1ca3a9a285bea5138ed82ef0ee022c27cbd441e0e1131de03a39ad76b0f732",
+    },
     ("lossless", "HWR"): {
         "aggregate.json":
             "4641b677a0b156ad17762617a93229f147b6a39e0ba1ce779696a23f7eac6e89",
