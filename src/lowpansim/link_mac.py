@@ -7,11 +7,10 @@ length overhead (a full 127-byte frame occupies the air for 4256 us).
 
 One frame is in flight at a time.  Each transmission attempt runs unslotted
 CSMA/CA (backoff exponent min_be..max_be, up to max_csma_backoffs + 1 channel
-assessments); a CSMA failure or a missing acknowledgement counts as one
-failed attempt and increments the retransmission counter, and the frame drops
-after max_retransmissions failed attempts.  Acknowledgements are modeled
-instantaneous, lossless, and free of airtime, so the sender learns the
-outcome at transmission end and retries ack_timeout_us later.
+assessments); a CSMA failure or a missing acknowledgement fails the attempt,
+and a frame is resent at most max_retransmissions times.  Acknowledgements
+are modeled instantaneous, lossless, and free of airtime, so the sender
+learns the outcome at transmission end and retries ack_timeout_us later.
 
 Frames handed to a busy transceiver (transmitting, or mid-reception of a
 frame addressed to this node) wait in a FIFO queue (overflow drops the
@@ -68,25 +67,6 @@ class Frame:
     fragment: object
     dgram_id: int
     job: object = None    # originating fragmentation job, if any
-
-
-class _Job:
-    """The frame in flight, with its wire size and airtime.
-
-    A job has exactly one pending event at any time, and `Mac.current`
-    changes only in `_start_job` (while it is None) and in `_finish_job`,
-    which only the job's own event chain reaches; so every event of a job
-    finds it still current."""
-
-    __slots__ = ("frame", "size", "airtime", "attempts", "nb", "be")
-
-    def __init__(self, frame, size):
-        self.frame = frame
-        self.size = size
-        self.airtime = airtime_us(size)
-        self.attempts = 0
-        self.nb = 0
-        self.be = 0
 
 
 class Mac:
@@ -193,75 +173,64 @@ class Mac:
     # -- one frame's lifecycle ----------------------------------------------
 
     def _start_job(self, frame):
-        self.current = _Job(frame, self.wire_size(frame))
-        self._begin_attempt()
+        self.current = job = self._job(frame)
+        next(job)
 
-    def _begin_attempt(self):
-        job = self.current
-        job.attempts += 1
-        job.nb = 0
-        job.be = self.params.min_be
-        self._backoff(job)
-
-    def _backoff(self, job):
-        # randrange(1 << be), drawn the way random.Random draws it: be + 1
-        # bits, redrawn while bit be is set.  Same value, same stream.
-        sim, be = self.sim, job.be
-        getrandbits = sim.rng.getrandbits
-        slots = getrandbits(be + 1)
-        while slots >> be:
-            slots = getrandbits(be + 1)
-        sim.at(sim.now + slots * UNIT_BACKOFF_US, self._cca, job)
-
-    def _cca(self, job):
-        # A frame sitting in the single buffer blocks our own transmit path
-        # exactly like an audibly busy channel would.
-        if (self.current_rx is not None or self.rx_held
-                or self.rx_busy_until > self.sim.now):
-            job.nb += 1
-            job.be = min(job.be + 1, self.params.max_be)
-            if job.nb > self.params.max_csma_backoffs:
-                self.counters.csma_failures += 1
-                self._attempt_failed(job)
+    def _job(self, frame):
+        """One frame's unslotted CSMA/CA and retransmissions, as the
+        coroutine `current` holds.  Each wait is an ordinary event that
+        resumes it, `sim.at(t, next, job, None)` and then `yield`; `next`'s
+        default lets the finished coroutine's last event end quietly."""
+        sim, params, counters = self.sim, self.params, self.counters
+        job, getrandbits = self.current, sim.rng.getrandbits
+        size = self.wire_size(frame)
+        airtime = airtime_us(size)
+        # Resends wait one ack timeout, after a missing ack or a channel
+        # access failure alike, so attempts always advance time.
+        for attempt in range(params.max_retransmissions + 1):
+            if attempt:
+                counters.l2_retransmissions += 1
+                sim.at(sim.now + params.ack_timeout_us, next, job, None)
+                yield
+            be = params.min_be
+            for nb in range(params.max_csma_backoffs + 1):
+                # randrange(1 << be) as random.Random draws it: be + 1 bits,
+                # redrawn while bit be is set.  Same value, same stream.
+                slots = getrandbits(be + 1)
+                while slots >> be:
+                    slots = getrandbits(be + 1)
+                sim.at(sim.now + slots * UNIT_BACKOFF_US, next, job, None)
+                yield
+                # A frame sitting in the single buffer blocks our own
+                # transmit path exactly like an audibly busy channel would.
+                if not (self.current_rx is not None or self.rx_held
+                        or self.rx_busy_until > sim.now):
+                    break
+                be = min(be + 1, params.max_be)
             else:
-                self._backoff(job)
-            return
-        self.sim.at(self.sim.now + CCA_DUR_US, self._tx_start, job)
+                counters.csma_failures += 1
+                continue
+            sim.at(sim.now + CCA_DUR_US, next, job, None)
+            yield
+            now = sim.now
+            self.tx_until = t1 = now + airtime
+            counters.frames_sent += 1
+            if self.current_rx is not None:
+                # Committed to transmit during the CCA turnaround while a
+                # frame was arriving: reception is aborted.
+                self.current_rx.destroyed = True
+            self.medium.begin_tx(self, frame, now, t1)
+            sim.at(t1, next, job, None)
+            yield
+            delivered, dest = self.medium.finish_tx(self, frame)
+            if delivered:
+                self._finish_job(frame, size, True, None)
+                dest.on_deliver(frame, sim.now)
+                return
+        self._finish_job(frame, size, False, "retrans_exhausted")
 
-    def _tx_start(self, job):
-        now = self.sim.now
-        t1 = now + job.airtime
-        self.tx_until = t1
-        self.counters.frames_sent += 1
-        if self.current_rx is not None:
-            # Committed to transmit during the CCA turnaround while a frame
-            # was arriving: reception is aborted.
-            self.current_rx.destroyed = True
-        self.medium.begin_tx(self, job.frame, now, t1)
-        self.sim.at(t1, self._tx_end, job)
-
-    def _tx_end(self, job):
-        delivered, dest = self.medium.finish_tx(self, job.frame)
-        if delivered:
-            self._finish_job(job, True, None)
-            dest.on_deliver(job.frame, self.sim.now)
-        else:
-            self._attempt_failed(job)
-
-    def _attempt_failed(self, job):
-        # max_retransmissions counts resends, so a frame gets one more
-        # attempt than that.  Both a missing ack and a channel access
-        # failure wait one ack timeout before the next attempt, so attempts
-        # always advance time.
-        if job.attempts > self.params.max_retransmissions:
-            self._finish_job(job, False, "retrans_exhausted")
-        else:
-            self.counters.l2_retransmissions += 1
-            self.sim.at(self.sim.now + self.params.ack_timeout_us,
-                        self._begin_attempt)
-
-    def _finish_job(self, job, ok, cause):
+    def _finish_job(self, frame, size, ok, cause):
         self.current = None
-        self.arena.free(job.size)
-        self.on_frame_done(job.frame, ok, cause)
+        self.arena.free(size)
+        self.on_frame_done(frame, ok, cause)
         self._try_service()

@@ -118,7 +118,8 @@ class Node:
 
     def _send_fragments(self, datagram, dgram_id):
         me, next_hop = self.config.id, self.config.route_next_hop
-        if self.frag_jobs >= self.stack.frag_buffer_slots:
+        if (self.frag_jobs >= self.stack.frag_buffer_slots
+                or self.tags.full()):
             self.counters.frag_buf_full += 1
             self.on_drop(dgram_id, "frag_buf_full", self.sim.now)
             return False

@@ -27,8 +27,12 @@ class TagAllocator:
         self._next = 0
         self.live = set()
 
+    def full(self):
+        """Every tag is live; a caller treats this as a full table."""
+        return len(self.live) >= self.tag_space
+
     def acquire(self):
-        if len(self.live) >= self.tag_space:
+        if self.full():
             raise RuntimeError("datagram tag space exhausted")
         tag = self._next
         while tag in self.live:
@@ -77,10 +81,11 @@ class VrbTable(DeadlineTable):
             self.on_drop(entry.dgram_id, "vrb_expired", now)
 
     def create(self, key, now, dgram_id):
-        """New entry with a fresh out_tag, or None when the table is full."""
+        """New entry with a fresh out_tag, or None when the table or the
+        tag space is full."""
         if key in self.entries:
             raise ValueError("duplicate VRB entry for %r" % (key,))
-        if self.full():
+        if self.full() or self.allocator.full():
             self.counters.vrb_full += 1
             return None
         entry = VrbEntry(key, self.allocator.acquire(),

@@ -5,9 +5,9 @@ topology is hashed, under the default lossy settings, under the
 lossless-oracle settings (unbounded buffers, lossless links, serialized
 sends), and under edge settings that drive the MAC and the tables into
 their failure paths.  test_a11 only compares two runs of one commit; this
-test also catches drift between commits.  A change that alters behaviour on purpose
-replaces the digests below with the ones the failure message prints and
-says why.
+test also catches drift between commits.  A change that alters behaviour
+on purpose replaces the digests below with the ones the failure message
+prints and says why.
 """
 
 import hashlib

@@ -1,11 +1,12 @@
 """Tests for the CSMA/CA MAC with acknowledgements and retransmissions."""
 
 import random
+from dataclasses import replace
 
 from lowpansim.buffers import PacketArena
 from lowpansim.frag_codec import Fragment
 from lowpansim.link_mac import (CCA_DUR_US, UNIT_BACKOFF_US, Frame, Mac,
-                                MacParams, _Job, airtime_us)
+                                MacParams, airtime_us)
 from lowpansim.metrics import NodeCounters
 from lowpansim.sim_core import Medium, Simulator
 
@@ -205,30 +206,44 @@ def test_own_send_waits_for_handover():
     assert rig.macs[2].counters.l2_retransmissions == 0
 
 
-def _tie_at_handover_end(probe, scheduled_before):
+def _past_handover_end(schedule):
     """Node 1 sends a full frame to node 2 under the default 1,000 us
-    handover; `probe(rig)` runs at exactly the instant the hold ends, from
-    an event scheduled before (t=0) or after (t=4385) the reception ended
-    at 4384."""
+    handover, so the reception ends at 4384 and the hold at 5384;
+    `schedule(rig, hold_end)` adds the events under test before the run."""
     rig = Rig([(1, 2), (3, 2)], params=dict(min_be=0, max_be=0))
     assert rig.macs[2].params.rx_handover_us == 1000
     hold_end = 4384 + 1000
     rig.macs[1].send(Frame(src=1, dst=2, fragment=full_frame(), dgram_id=1))
-    if scheduled_before:
-        rig.sim.at(hold_end, probe, rig)
-    else:
-        rig.sim.at(4385, lambda: rig.sim.at(hold_end, probe, rig))
+    schedule(rig, hold_end)
     rig.sim.run()
     assert rig.delivered[0][2] == 4384
     return rig, hold_end
 
 
-def _in_flight(mac, frame):
-    """Make `frame` the MAC's frame in flight, as `send` would, without
-    scheduling any of its steps."""
-    mac.arena.alloc(mac.wire_size(frame))
-    mac.current = _Job(frame, mac.wire_size(frame))
-    return mac.current
+def _transmit(rig, mac, frame):
+    """Put `frame` on the air from `mac` right now, as the MAC's transmit
+    step does, and deliver it at the end if it arrived intact."""
+    t0 = rig.sim.now
+    mac.tx_until = t1 = t0 + airtime_us(mac.wire_size(frame))
+    rig.medium.begin_tx(mac, frame, t0, t1)
+
+    def end():
+        delivered, dest = rig.medium.finish_tx(mac, frame)
+        if delivered:
+            dest.on_deliver(frame, rig.sim.now)
+    rig.sim.at(t1, end)
+
+
+class _Draws:
+    """A random source whose getrandbits returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.used = 0
+
+    def getrandbits(self, k):
+        self.used += 1
+        return self.values[self.used - 1]
 
 
 def test_handover_release_ties_go_to_earlier_scheduled_events():
@@ -236,30 +251,43 @@ def test_handover_release_ties_go_to_earlier_scheduled_events():
     # while the frame was still arriving finds the buffer held, one
     # scheduled after the reception ended finds it free.
     g = Frame(src=3, dst=2, fragment=small_frame(), dgram_id=3)
-
-    def incoming(rig):
-        rig.macs[3]._tx_start(_in_flight(rig.macs[3], g))
-
     for before in (True, False):
-        rig, hold_end = _tie_at_handover_end(incoming, before)
+        def incoming(rig, hold_end):
+            # At the release instant, from an event scheduled at t=0 or at
+            # t=4385.
+            args = (hold_end, _transmit, rig, rig.macs[3], g)
+            if before:
+                rig.sim.at(*args)
+            else:
+                rig.sim.at(4385, lambda: rig.sim.at(*args))
+
+        rig, hold_end = _past_handover_end(incoming)
         assert rig.macs[2].counters.busy_losses == int(before)
         assert ((2, g, hold_end + airtime_us(63)) in rig.delivered) != before
 
     h = Frame(src=2, dst=1, fragment=small_frame(), dgram_id=2)
-    jobs = []
+    # Node 2 starts a frame whose first backoff ends exactly at the release
+    # instant: drawn before the reception ended (4104 + 4 slots) or after
+    # it (5064 + 1 slot).  A busy assessment redraws, here 0 slots.
+    for before, start, slots in ((True, 4104, 4), (False, 5064, 1)):
+        draws = _Draws(slots, 0)
 
-    def cca(rig):
-        jobs.append(_in_flight(rig.macs[2], h))
-        rig.macs[2]._cca(jobs[-1])
+        def start_job(rig):
+            mac = rig.macs[2]
+            mac.params = replace(mac.params, min_be=3, max_be=3)
+            rig.sim.rng = draws          # only node 2 draws from here on
+            mac.arena.alloc(mac.wire_size(h))
+            mac._start_job(h)
 
-    for before in (True, False):
-        rig, hold_end = _tie_at_handover_end(cca, before)
-        assert jobs[-1].nb == int(before)      # one busy assessment, or none
+        rig, hold_end = _past_handover_end(
+            lambda rig, hold_end: rig.sim.at(start, start_job, rig))
+        assert start + slots * UNIT_BACKOFF_US == hold_end
+        assert draws.used == 1 + int(before)   # one busy assessment, or none
         assert (1, h, hold_end + CCA_DUR_US + airtime_us(63)) in rig.delivered
 
 
 class _Clock:
-    """Just the simulator surface `Mac._backoff` uses; records each event
+    """Just the simulator surface `Mac._job` uses; records each event
     time instead of queueing the event."""
 
     def __init__(self, seed):
@@ -272,17 +300,21 @@ class _Clock:
 
 
 def test_backoff_draws_equal_randrange():
+    # The channel stays busy and be stays put, so each resumed assessment
+    # fails and draws the next backoff from a window of 1 << be slots.
     frame = Frame(1, 2, small_frame(), dgram_id=1)
     for seed in (0, 1, 7, 12345, -3):
         for be in range(9):
             clock = _Clock(seed)
-            mac = Mac(1, clock, Medium(clock), MacParams(), NodeCounters(),
+            params = MacParams(min_be=be, max_be=be, max_csma_backoffs=99)
+            mac = Mac(1, clock, Medium(clock), params, NodeCounters(),
                       PacketArena(None), None, None)
-            job = _Job(frame, mac.wire_size(frame))
-            job.be = be
-            for _ in range(100):
-                mac._backoff(job)
+            mac.rx_held = True
+            mac._start_job(frame)
+            for _ in range(99):
+                next(mac.current)
             ref = random.Random(seed)
             assert clock.times == [ref.randrange(1 << be) * UNIT_BACKOFF_US
                                    for _ in range(100)], (seed, be)
             assert clock.rng.getstate() == ref.getstate()
+            assert mac.counters.csma_failures == 0

@@ -5,16 +5,24 @@ strategy with buffer, queue and arena sizes from one to unbounded.  Every
 node sits at the origin, so any link is in range; each route edge has a
 link and a few extra links add interference, each with a PDR in [0.5, 1].
 A run must report no violation, and the drain checks at its end are
-violations too.
+violations too.  While it runs, a MAC never starts a frame while another
+is in flight, and a node never hands out a live datagram tag or frees one
+that is not live.  Under the lossless oracle's settings every datagram
+arrives.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowpansim.harness import (STUDY_PAYLOADS, UNBOUNDED_ENTRIES, _simulate,
                                scenario_from_dict)
+from lowpansim.link_mac import Mac
 from lowpansim.node_stack import STRATEGIES
 from lowpansim.topology import Topology, save_topology
+from lowpansim.vrb import TagAllocator
 
 ORIGIN = (0.0, 0.0, 0.0)
 ENTRIES = st.sampled_from((1, 2, 16, UNBOUNDED_ENTRIES))
@@ -65,17 +73,79 @@ def scenarios(draw):
     }
 
 
+@st.composite
+def lossless_scenarios(draw):
+    """test_a04's lossless oracle: every loss mechanism off, serialized
+    sends, and a backoff window wider than one frame airtime."""
+    return {
+        "version": 1,
+        "topology": "net.txt",
+        "strategy": draw(st.sampled_from(sorted(STRATEGIES))),
+        "payloads": [draw(st.sampled_from(STUDY_PAYLOADS))],
+        "interval_us": [2_000_000, 3_000_000],
+        "packets_per_source": draw(st.integers(1, 4)),
+        "seeds": [draw(st.integers(0, 10**6))],
+        "force_link_pdr": 1.0,
+        "serialize_sends": True,
+        "rbuf_entries": None, "sink_rbuf_entries": None, "vrb_entries": None,
+        "mac": {"max_retransmissions": 10_000, "queue_capacity": None,
+                "min_be": 6, "max_be": 8},
+        "stack": {"frag_buffer_slots": None, "arena_bytes": None},
+    }
+
+
+@contextmanager
+def checked_invariants():
+    """Wrap the MAC and the tag allocator so that a broken invariant
+    raises out of the simulation."""
+    start_job, acquire, release = (Mac._start_job, TagAllocator.acquire,
+                                   TagAllocator.release)
+
+    def checked_start_job(mac, frame):
+        assert mac.current is None, "node %d: two frames in flight" % (
+            mac.node_id)
+        start_job(mac, frame)
+
+    def checked_acquire(tags):
+        live = len(tags.live)
+        tag = acquire(tags)
+        assert len(tags.live) == live + 1, "tag %d was already live" % tag
+        return tag
+
+    def checked_release(tags, tag):
+        assert tag in tags.live, "tag %d released but not live" % tag
+        release(tags, tag)
+
+    with mock.patch.object(Mac, "_start_job", checked_start_job), \
+            mock.patch.object(TagAllocator, "acquire", checked_acquire), \
+            mock.patch.object(TagAllocator, "release", checked_release):
+        yield
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     return tmp_path_factory.mktemp("networks")
 
 
-@settings(max_examples=300, deadline=None)
-@given(networks(), scenarios())
-def test_generated_networks_run_clean(work, topo, cfg):
+def simulate(work, topo, cfg):
     save_topology(topo, work / "net.txt")
     scenario = scenario_from_dict(cfg, base_dir=work)
     payload, = scenario.payloads
     record = _simulate(scenario, topo, scenario.seeds[0], payload)
     assert record.violations == []
     assert record.sent == len(topo.senders()) * scenario.packets_per_source
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks(), scenarios())
+def test_generated_networks_run_clean(work, topo, cfg):
+    with checked_invariants():
+        simulate(work, topo, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(), lossless_scenarios())
+def test_generated_lossless_networks_deliver_everything(work, topo, cfg):
+    record = simulate(work, topo, cfg)
+    assert record.delivered == record.sent

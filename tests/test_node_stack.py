@@ -5,9 +5,11 @@ from functools import partial
 import pytest
 
 from lowpansim.frag_codec import CompressionHeader, fragment_datagram
+from lowpansim.harness import UNBOUNDED_ENTRIES
 from lowpansim.link_mac import CCA_DUR_US, Frame, MacParams, airtime_us
 from lowpansim.node_stack import Node, NodeConfig, StackParams, build_datagram
 from lowpansim.sim_core import Medium, Simulator
+from lowpansim.vrb import TagAllocator
 
 DET = MacParams(min_be=0, max_be=0, rx_handover_us=0)
 # Realistic backoff for scenarios with concurrent transmissions: zero-width
@@ -302,6 +304,23 @@ def test_fragmentation_slot_freed_once_frames_left_the_mac():
     assert line.drops == [(0, 2, "frag_buf_full")]
     assert [g[0] for g in line.got] == [1, 3]
     assert src.frag_jobs == 0
+
+
+def test_exhausted_tag_space_drops_datagram_as_frag_buf_full():
+    # Unbounded fragmentation slots, but a single tag: the second datagram
+    # finds the first one's tag still live and is dropped, not a crash.
+    line = Line(2, "HWR",
+                stack=StackParams(frag_buffer_slots=UNBOUNDED_ENTRIES))
+    src = line.nodes[0]
+    src.tags = src.vrb.allocator = TagAllocator(tag_space=1)
+    line.send(272, 1, at=0)
+    line.send(272, 2, at=1)                      # 4 frames still in the MAC
+    line.send(272, 3, at=1_000_000)              # long after they left
+    line.run()
+    assert src.counters.frag_buf_full == 1
+    assert line.drops == [(0, 2, "frag_buf_full")]
+    assert [g[0] for g in line.got] == [1, 3]
+    assert not src.tags.live
 
 
 def test_ff_queued_arena_drains_after_enqueue_failure():

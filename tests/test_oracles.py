@@ -1,0 +1,139 @@
+"""Single-path oracles: closed forms the model must meet.
+
+On a 3-node line (sender 2, forwarder 1, sink 0) with serialized sends, no
+receive handover and unbounded tables, a datagram contends only with its
+own frames.  A frame crosses a hop within its max_retransmissions + 1
+attempts with probability f = 1 - (1 - p)^4, so a datagram of k fragments
+arrives with probability f^(2k) when the forwarder sends only once the
+whole datagram has arrived (HWR, FF_QUEUED).  FF sends while fragments are
+still arriving and falls short of that.  On a lossless 6-node line, HWR's
+latency grows linearly with hop count and FF_QUEUED matches it.
+
+Seeds are fixed, so every result is deterministic.  The bounds (4 standard
+deviations, 10 % and 1 %) were set before the results were seen; a failure
+means the model moved, never that a bound should widen.
+"""
+
+import functools
+import math
+import statistics
+
+import pytest
+
+from lowpansim.harness import UNBOUNDED_ENTRIES, Scenario, _simulate
+from lowpansim.link_mac import MacParams
+from lowpansim.node_stack import StackParams
+from test_harness import line_topology
+
+SEEDS = (1, 2, 3)
+DATAGRAMS = 1000            # per seed
+# (link PDR, fragments per datagram, payload bytes)
+CASES = ((0.7, 4, 272), (0.8, 8, 656), (0.6, 2, 80))
+
+
+def line_scenario(strategy, payload, packets, **settings):
+    """Serialized sends every 2-3 s with unbounded tables, fragmentation
+    slots and arena."""
+    return Scenario(topology="line", strategy=strategy, payloads=(payload,),
+                    interval_us=(2_000_000, 3_000_000),
+                    packets_per_source=packets, seeds=(1,),
+                    serialize_sends=True, rbuf_entries=UNBOUNDED_ENTRIES,
+                    sink_rbuf_entries=UNBOUNDED_ENTRIES,
+                    vrb_entries=UNBOUNDED_ENTRIES,
+                    stack=StackParams(frag_buffer_slots=UNBOUNDED_ENTRIES,
+                                      arena_bytes=None), **settings)
+
+
+def simulate_line(nodes, scenario, seed):
+    """One invariant-clean run on a line of `nodes` nodes."""
+    payload, = scenario.payloads
+    record = _simulate(scenario, line_topology(nodes), seed, payload)
+    assert record.violations == []
+    return record
+
+
+@pytest.fixture(scope="module")
+def simulate():
+    """simulate_line, memoized across this module's tests."""
+    return functools.cache(simulate_line)
+
+
+def lossy_pdr(simulate, strategy, p, k, payload):
+    """Pooled (delivered, sent) over the seeds on the lossy 3-node line."""
+    scenario = line_scenario(strategy, payload, DATAGRAMS, force_link_pdr=p,
+                             mac=MacParams(rx_handover_us=0))
+    records = [simulate(3, scenario, seed) for seed in SEEDS]
+    assert {r.frag_count for r in records} == {k}
+    return (sum(r.delivered for r in records),
+            sum(r.sent for r in records))
+
+
+@pytest.mark.parametrize("strategy", ("HWR", "FF_QUEUED"))
+@pytest.mark.parametrize("p, k, payload", CASES)
+def test_store_and_forward_pdr_meets_closed_form(simulate, strategy, p, k,
+                                                 payload):
+    attempts = MacParams().max_retransmissions + 1
+    expected = (1 - (1 - p) ** attempts) ** (2 * k)
+    delivered, sent = lossy_pdr(simulate, strategy, p, k, payload)
+    sd = math.sqrt(expected * (1 - expected) / sent)
+    z = (delivered / sent - expected) / sd
+    assert abs(z) <= 4, (strategy, p, k, delivered / sent, expected, z)
+
+
+def test_direct_forwarding_falls_below_hop_wise_reassembly(simulate):
+    # The abstract's mechanism: FF's fragment train interferes with itself
+    # on the forwarder's two links.  At k = 4 the margin is too thin to
+    # assert.
+    p, k, payload = 0.8, 8, 656
+    pdr = {}
+    for strategy in ("HWR", "FF"):
+        delivered, sent = lossy_pdr(simulate, strategy, p, k, payload)
+        pdr[strategy] = (delivered / sent, sent)
+    (hwr, n_hwr), (ff, n_ff) = pdr["HWR"], pdr["FF"]
+    sd = math.sqrt(hwr * (1 - hwr) / n_hwr + ff * (1 - ff) / n_ff)
+    assert hwr - ff > 4 * sd, (hwr, ff, sd)
+
+
+# The lossless oracle's MAC, as in test_a04: every loss mechanism off and a
+# backoff window wider than one frame airtime.
+LOSSLESS_MAC = MacParams(max_retransmissions=10_000, queue_capacity=None,
+                         min_be=6, max_be=8)
+
+
+def lossless_line(simulate, strategy):
+    """Median latency by hop distance and the total L2 retransmissions of
+    100 datagrams of 1232 B per sender on a lossless 6-node line."""
+    scenario = line_scenario(strategy, 1232, 100, force_link_pdr=1.0,
+                             mac=LOSSLESS_MAC)
+    record = simulate(6, scenario, 1)
+    assert record.delivered == record.sent == 400
+    hops = {}
+    for row in record.latency:
+        hops.setdefault(row.hop_distance, []).append(row.latency_us)
+    medians = {h: statistics.median(v) for h, v in sorted(hops.items())}
+    return medians, sum(row.l2_retransmissions for row in record.nodes)
+
+
+def test_lossless_line_latency_is_linear_in_hops(simulate):
+    medians, _ = lossless_line(simulate, "HWR")
+    assert list(medians) == [2, 3, 4, 5]
+    steps = [b - a for a, b in zip(medians.values(),
+                                   list(medians.values())[1:])]
+    mean = statistics.mean(steps)
+    for step in steps:
+        assert abs(step - mean) <= 0.1 * mean, (steps, mean)
+
+
+def test_lossless_line_queued_forwarding_matches_reassembly(simulate):
+    hwr, _ = lossless_line(simulate, "HWR")
+    queued, _ = lossless_line(simulate, "FF_QUEUED")
+    assert list(queued) == list(hwr)
+    for hops, median in hwr.items():
+        assert abs(queued[hops] - median) <= 0.01 * median, (hops, queued,
+                                                             hwr)
+
+
+def test_lossless_line_direct_forwarding_retransmits_more(simulate):
+    _, hwr = lossless_line(simulate, "HWR")
+    _, ff = lossless_line(simulate, "FF")
+    assert ff > hwr, (ff, hwr)

@@ -101,6 +101,17 @@ def test_tag_release_on_expiry():
     assert e.out_tag is not None
 
 
+def test_full_tag_space_counts_as_a_full_table():
+    table, counters, drops = make_table(capacity=16)
+    table.allocator = TagAllocator(tag_space=1)
+    table.allocator.acquire()
+    assert table.allocator.full()
+    assert table.create(key(5), now=0, dgram_id=1) is None
+    assert counters.vrb_full == 1
+    assert table.live_entries == 0
+    assert drops == []
+
+
 def test_allocator_skips_live_tags_and_wraps():
     alloc = TagAllocator(tag_space=4)
     tags = [alloc.acquire() for _ in range(4)]
