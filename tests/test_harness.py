@@ -338,6 +338,40 @@ def test_frames_off_their_route_are_violations(tmp_path, monkeypatch, capsys):
     assert "violation\t" not in (tmp_path / "off" / "run-00.txt").read_text()
 
 
+def test_route_check_lists_stray_edges_and_unknown_datagrams(tmp_path,
+                                                              monkeypatch):
+    # On a 5-node line node 4 sends to node 2 and node 2 to the sink,
+    # skipping a hop each, and node 3 sends its one datagram (id 2) as id 0,
+    # which no send plan issued.  Datagram 3, node 4's, leaves its route on
+    # both shortcuts; the path lines come in dgram_id order, the unknown
+    # id 0 first.
+    class Strays(harness.Node):
+        def __init__(self, config, *args):
+            if config.id in (2, 4):
+                config = replace(config, route_next_hop=config.id - 2)
+            super().__init__(config, *args)
+
+        def app_send(self, payload_size, dgram_id):
+            if self.config.id == 3:
+                dgram_id = 0
+            return super().app_send(payload_size, dgram_id)
+
+    monkeypatch.setattr(harness, "Node", Strays)
+    topo = line_topology(5)
+    assert topo.senders() == (2, 3, 4)
+    assert (2, 4) in topo.links and (0, 2) in topo.links
+    scn = load_scenario(write_scenario(tmp_path, topo, packets_per_source=1))
+    record = harness._simulate(scn, topo, 1, 80)
+    assert record.violations == [
+        "delivery of unknown datagram 0",
+        "datagram 2 neither delivered nor attributed",
+        "loss-cause conservation broken: 3 != 2 + 0",
+        "frames of unknown datagram 0",
+        "datagram 1 left its route: [(2, 0)]",
+        "datagram 3 left its route: [(2, 0), (4, 2)]",
+    ]
+
+
 def test_leaked_datagram_tags_are_violations(tmp_path, monkeypatch, capsys):
     # Node 3 takes one extra tag with its first datagram and never gives it
     # back; every datagram still arrives, but the drain check names node 3.
