@@ -256,21 +256,3 @@ def refragment_first(first_frag, new_comp, sdu):
                  first_frag.payload[split:]),
     ]
 
-
-def reassemble(fragments):
-    """Rebuild a datagram from fragments covering it exactly once.  The
-    simulator never calls this: it is the oracle test_frag_codec checks the
-    fragmenters against, independent of the reassembly buffer."""
-    if len(fragments) == 1 and fragments[0].header is None:
-        return fragments[0].payload
-    size = fragments[0].header.datagram_size
-    buf = bytearray(size)
-    covered = 0
-    for frag in fragments:
-        off = frag.offset
-        buf[off:off + len(frag.payload)] = frag.payload
-        covered += len(frag.payload)
-    if covered != size:
-        raise FragmentationError("fragments cover %d of %d bytes"
-                                 % (covered, size))
-    return bytes(buf)

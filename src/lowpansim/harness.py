@@ -347,11 +347,18 @@ def _path_edges(topo, source):
     return edges
 
 
-def _tap_deliveries(mac, dst, edges):
+def _check_routes(mac, dst, recs, routes, strays):
+    """Tap `mac`'s deliveries: a frame off its datagram's route adds its
+    edge to strays[dgram_id], and a frame of an unknown datagram puts
+    None there.  A frame on its route leaves nothing behind."""
     orig = mac.on_deliver
 
     def tap(frame, now):
-        edges.setdefault(frame.dgram_id, set()).add((frame.src, dst))
+        rec = recs.get(frame.dgram_id)
+        if rec is None:
+            strays[frame.dgram_id] = None
+        elif (frame.src, dst) not in routes[rec.source]:
+            strays.setdefault(frame.dgram_id, set()).add((frame.src, dst))
         orig(frame, now)
 
     mac.on_deliver = tap
@@ -405,26 +412,28 @@ def _simulate(scenario, topo, seed, payload):
             pdr = scenario.force_link_pdr
         medium.add_link(nodes[a].mac, nodes[b].mac, pdr)
 
-    edges = {}
-    if scenario.check_paths:
-        for nid, node in nodes.items():
-            _tap_deliveries(node.mac, nid, edges)
-
     # Datagram ids and interval draws follow the send plan's order.  A
     # serialized plan goes round-robin on one clock, one datagram in flight
     # at a time (given lo exceeds a train's transit time); otherwise each
-    # sender runs its own clock.
+    # sender runs its own clock.  The plan is generated, never held.
     lo, hi = scenario.interval_us
     count, order = scenario.packets_per_source, topo.senders()
     if scenario.serialize_sends:
-        plan = [(nid, None) for _ in range(count) for nid in order]
+        plan = ((nid, None) for _ in range(count) for nid in order)
     else:
-        plan = [(nid, nid) for nid in order for _ in range(count)]
+        plan = ((nid, nid) for nid in order for _ in range(count))
+    sends = {nid: nodes[nid].app_send for nid in order}
     clocks = {}
     for dgram_id, (nid, clock) in enumerate(plan, 1):
         t = clocks[clock] = clocks.get(clock, 0) + sim.rng.randint(lo, hi)
         recs[dgram_id] = _Rec(nid, t)
-        sim.at(t, nodes[nid].app_send, payload, dgram_id)
+        sim.at(t, sends[nid], payload, dgram_id)
+
+    strays = {}
+    if scenario.check_paths:
+        routes = {nid: _path_edges(topo, nid) for nid in order}
+        for nid, node in nodes.items():
+            _check_routes(node.mac, nid, recs, routes, strays)
 
     sim.run()
 
@@ -446,16 +455,12 @@ def _simulate(scenario, topo, seed, payload):
         violations.append("loss-cause conservation broken: %d != %d + %d"
                           % (result.sent, result.delivered, causes.total()))
 
-    if scenario.check_paths:
-        for dgram_id, used in sorted(edges.items()):
-            rec = recs.get(dgram_id)
-            if rec is None:
-                violations.append("frames of unknown datagram %d" % dgram_id)
-                continue
-            stray = used - _path_edges(topo, rec.source)
-            if stray:
-                violations.append("datagram %d left its route: %s"
-                                  % (dgram_id, sorted(stray)))
+    for dgram_id, stray in sorted(strays.items()):
+        if stray is None:
+            violations.append("frames of unknown datagram %d" % dgram_id)
+        else:
+            violations.append("datagram %d left its route: %s"
+                              % (dgram_id, sorted(stray)))
 
     for nid in topo.members:
         node = nodes[nid]

@@ -22,7 +22,6 @@ from lowpansim.frag_codec import (
     encode_header,
     fragment_count,
     fragment_datagram,
-    reassemble,
     refragment_first,
 )
 
@@ -123,6 +122,23 @@ def _wire_payload_len(frag):
     if frag.comp_size is not None:
         return frag.comp_size + len(frag.payload) - HEADER_REGION
     return len(frag.payload)
+
+
+def reassemble(fragments):
+    """Rebuild a datagram from fragments covering it exactly once: the
+    oracle the fragmenters are checked against, independent of the
+    simulator's reassembly buffer."""
+    if len(fragments) == 1 and fragments[0].header is None:
+        return fragments[0].payload
+    size = fragments[0].header.datagram_size
+    buf = bytearray(size)
+    covered = 0
+    for frag in fragments:
+        off = frag.offset
+        buf[off:off + len(frag.payload)] = frag.payload
+        covered += len(frag.payload)
+    assert covered == size, "fragments cover %d of %d bytes" % (covered, size)
+    return bytes(buf)
 
 
 def test_single_frame_when_compressed_fits():

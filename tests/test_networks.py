@@ -8,9 +8,11 @@ A run must report no violation, and the drain checks at its end are
 violations too.  While it runs, a MAC never starts a frame while another
 is in flight, and a node never hands out a live datagram tag or frees one
 that is not live.  Under the lossless oracle's settings every datagram
-arrives.
+arrives.  A run that keeps scheduling events at one instant fails instead
+of hanging, so hypothesis can shrink a livelock to a small network.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -21,12 +23,14 @@ from lowpansim.harness import (STUDY_PAYLOADS, UNBOUNDED_ENTRIES, _simulate,
                                scenario_from_dict)
 from lowpansim.link_mac import Mac
 from lowpansim.node_stack import STRATEGIES
+from lowpansim.sim_core import Simulator
 from lowpansim.topology import Topology, save_topology
 from lowpansim.vrb import TagAllocator
 
 ORIGIN = (0.0, 0.0, 0.0)
 ENTRIES = st.sampled_from((1, 2, 16, UNBOUNDED_ENTRIES))
 LIFETIME = st.sampled_from((20_000, 10_000_000))   # short or the default
+INSTANT_EVENTS = 10_000     # 500 generated runs put at most 4 on one instant
 
 
 @st.composite
@@ -122,6 +126,22 @@ def checked_invariants():
         yield
 
 
+@contextmanager
+def bounded_instants():
+    """Wrap Simulator.at so that a run fails once INSTANT_EVENTS events
+    fall on one instant, as a livelock's would."""
+    at, counts = Simulator.at, Counter()
+
+    def counted_at(sim, t, fn, *args):
+        counts[t] += 1
+        assert counts[t] <= INSTANT_EVENTS, (
+            "%d events at t=%d: %s" % (counts[t], t, fn))
+        at(sim, t, fn, *args)
+
+    with mock.patch.object(Simulator, "at", counted_at):
+        yield
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     return tmp_path_factory.mktemp("networks")
@@ -131,7 +151,8 @@ def simulate(work, topo, cfg):
     save_topology(topo, work / "net.txt")
     scenario = scenario_from_dict(cfg, base_dir=work)
     payload, = scenario.payloads
-    record = _simulate(scenario, topo, scenario.seeds[0], payload)
+    with bounded_instants():
+        record = _simulate(scenario, topo, scenario.seeds[0], payload)
     assert record.violations == []
     assert record.sent == len(topo.senders()) * scenario.packets_per_source
     return record
