@@ -26,7 +26,8 @@ Two fragmentation policies:
   without re-fragmenting.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 FRAG1_DISPATCH = 0b11000
 FRAGN_DISPATCH = 0b11100
@@ -64,55 +65,54 @@ class _NotAFragment:
 NOT_A_FRAGMENT = _NotAFragment()
 
 
-@dataclass(frozen=True, slots=True)
-class Frag1Header:
+class Frag1Header(NamedTuple):
     datagram_size: int
     datagram_tag: int
 
 
-@dataclass(frozen=True, slots=True)
-class FragNHeader:
+class FragNHeader(NamedTuple):
     datagram_size: int
     datagram_tag: int
     offset_units: int
 
 
-@dataclass(frozen=True, slots=True)
-class CompressionHeader:
+class CompressionHeader(namedtuple("CompressionHeader", "size_bytes")):
     """Opaque stand-in for a compressed IPv6 header; only its size matters."""
 
-    size_bytes: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.size_bytes <= MAX_COMP_HEADER:
+    def __new__(cls, size_bytes):
+        if not 0 <= size_bytes <= MAX_COMP_HEADER:
             raise ValueError("compression header size out of range: %d"
-                             % self.size_bytes)
+                             % size_bytes)
+        return tuple.__new__(cls, (size_bytes,))
 
 
-@dataclass(frozen=True, slots=True)
-class Fragment:
+class Fragment(namedtuple("Fragment",
+                          "header payload comp_size content_len")):
     """One link-layer unit of a datagram.
 
     header is None for an unfragmented datagram.  payload is the covered
     slice of the uncompressed datagram; comp_size is the wire size of the
     compressed header (first fragment and unfragmented frames only).
     content_len, derived at construction, is the total 6LoWPAN content in
-    bytes: fragment header plus wire payload.
+    bytes: fragment header plus wire payload.  `_replace` copies it, so
+    it may rewrite a header's tag but not what content_len counts.
     """
 
-    header: object
-    payload: bytes
-    comp_size: object = None
-    content_len: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.payload)
-        if self.comp_size is not None:
-            n += self.comp_size - HEADER_REGION
-        if self.header is not None:
-            n += (FRAG1_HEADER_LEN if isinstance(self.header, Frag1Header)
+    def __new__(cls, header, payload, comp_size=None):
+        n = len(payload)
+        if comp_size is not None:
+            n += comp_size - HEADER_REGION
+        if header is not None:
+            n += (FRAG1_HEADER_LEN if isinstance(header, Frag1Header)
                   else FRAGN_HEADER_LEN)
-        object.__setattr__(self, "content_len", n)
+        return tuple.__new__(cls, (header, payload, comp_size, n))
+
+    def __getnewargs__(self):            # pickle and copy rebuild from these
+        return self[:3]
 
     @property
     def offset(self):

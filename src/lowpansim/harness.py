@@ -17,8 +17,6 @@ import statistics
 import sys
 import threading
 from collections import Counter, namedtuple
-from dataclasses import (MISSING, asdict, dataclass, field, fields,
-                         is_dataclass, replace)
 from itertools import repeat
 from pathlib import Path
 
@@ -121,7 +119,7 @@ def _flag(name, value):
 
 def _params(cls, **checks):
     """An object overriding fields of `cls`, one validator per field."""
-    assert set(checks) == {f.name for f in fields(cls)}
+    assert set(checks) == set(cls._fields)
 
     def check(name, value):
         if not isinstance(value, dict):
@@ -130,7 +128,7 @@ def _params(cls, **checks):
         if bad:
             raise ScenarioError("unknown %s parameter(s): %s"
                                 % (name, ", ".join(sorted(bad))))
-        return replace(cls(), **{k: checks[k]("%s.%s" % (name, k), v)
+        return cls()._replace(**{k: checks[k]("%s.%s" % (name, k), v)
                                  for k, v in value.items()})
     return check
 
@@ -138,49 +136,53 @@ def _params(cls, **checks):
 _ENTRIES = _int(1, null=UNBOUNDED_ENTRIES)
 
 
-def _key(check, default=MISSING):
-    """A Scenario field read from the scenario-file key of its name."""
-    return field(default=default, metadata={"check": check})
+_REQUIRED = object()        # a default saying the scenario file must give it
 
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class Scenario:
-    topology: str = _key(_text)
-    strategy: str = _key(_strategy)
-    payloads: tuple = _key(_payloads)
-    interval_us: tuple = _key(_interval)
-    packets_per_source: int = _key(_int(1), 100)
-    seeds: tuple = _key(_int_list)
-    rbuf_entries: int = _key(_ENTRIES, 1)    # per node; the sink has its own
-    sink_rbuf_entries: int = _key(_ENTRIES, 16)
-    vrb_entries: int = _key(_ENTRIES, 16)
-    force_link_pdr: object = _key(_pdr, None)
-    check_paths: bool = _key(_flag, True)
+# The scenario-file keys besides "version", in run-file order, each with
+# its validator and default.
+_SCHEMA = (
+    ("topology", _text, _REQUIRED),
+    ("strategy", _strategy, _REQUIRED),
+    ("payloads", _payloads, _REQUIRED),
+    ("interval_us", _interval, _REQUIRED),
+    ("packets_per_source", _int(1), 100),
+    ("seeds", _int_list, _REQUIRED),
+    ("rbuf_entries", _ENTRIES, 1),          # per node; the sink has its own
+    ("sink_rbuf_entries", _ENTRIES, 16),
+    ("vrb_entries", _ENTRIES, 16),
+    ("force_link_pdr", _pdr, None),
+    ("check_paths", _flag, True),
     # One send at a time network-wide instead of concurrent per-source
     # schedules.  With intervals longer than a train's transit time this
     # removes channel contention entirely, which is what the lossless
     # conservation oracle needs: hidden senders on a loss-free channel can
     # otherwise phase-lock and collide indefinitely.
-    serialize_sends: bool = _key(_flag, False)
-    mac: MacParams = _key(_params(
+    ("serialize_sends", _flag, False),
+    ("mac", _params(
         MacParams, max_retransmissions=_int(0), min_be=_int(0),
         max_be=_int(0), max_csma_backoffs=_int(0), ack_timeout_us=_int(0),
         queue_retry_us=_int(1), queue_capacity=_int(0, null=None),
-        l2_overhead=_int(0), rx_handover_us=_int(0)), MacParams())
-    stack: StackParams = _key(_params(
+        l2_overhead=_int(0), rx_handover_us=_int(0)), MacParams()),
+    ("stack", _params(
         StackParams, comp_header_bytes=_int(0),
         reassembly_timeout_us=_int(0), vrb_lifetime_us=_int(0),
         proc_delay_us=_int(0),
         frag_buffer_slots=_int(0, null=UNBOUNDED_ENTRIES),
-        arena_bytes=_int(0, null=None)), StackParams())
-    base_dir: Path = Path(".")
+        arena_bytes=_int(0, null=None)), StackParams()),
+)
+
+# Scenario's fields: the required keys first, as a tuple's defaults trail.
+_FIELDS = sorted(_SCHEMA, key=lambda entry: entry[2] is not _REQUIRED)
+_FIELDS.append(("base_dir", None, Path(".")))
+
+
+class Scenario(namedtuple("Scenario", [key for key, _, _ in _FIELDS],
+                          defaults=[default for _, _, default in _FIELDS
+                                    if default is not _REQUIRED])):
+    __slots__ = ()
 
     def topology_path(self):
         return self.base_dir / self.topology
-
-
-# The scenario-file keys besides "version", in run-file order.
-_KEY_FIELDS = tuple(f for f in fields(Scenario) if "check" in f.metadata)
 
 
 def _frag_count(scenario, payload):
@@ -193,7 +195,7 @@ def _frag_count(scenario, payload):
 def scenario_from_dict(cfg, base_dir=Path(".")):
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario must be a JSON object")
-    unknown = set(cfg) - {"version"} - {f.name for f in _KEY_FIELDS}
+    unknown = set(cfg) - {"version"} - {key for key, _, _ in _SCHEMA}
     if unknown:
         raise ScenarioError("unknown scenario key(s): %s"
                             % ", ".join(sorted(unknown)))
@@ -201,11 +203,11 @@ def scenario_from_dict(cfg, base_dir=Path(".")):
         raise ScenarioError("unsupported scenario version %r"
                             % cfg.get("version"))
     values = {}
-    for f in _KEY_FIELDS:
-        if f.name in cfg:
-            values[f.name] = f.metadata["check"](f.name, cfg[f.name])
-        elif f.default is MISSING:
-            raise ScenarioError("scenario is missing %r" % f.name)
+    for key, check, default in _SCHEMA:
+        if key in cfg:
+            values[key] = check(key, cfg[key])
+        elif default is _REQUIRED:
+            raise ScenarioError("scenario is missing %r" % key)
     scenario = Scenario(base_dir=Path(base_dir), **values)
 
     if scenario.mac.min_be > scenario.mac.max_be:
@@ -233,8 +235,8 @@ def load_scenario(path):
 
 def _plain(value):
     """A field value as JSON data; parameter records become JSON text."""
-    if is_dataclass(value):
-        return json.dumps(asdict(value), sort_keys=True)
+    if isinstance(value, (MacParams, StackParams)):
+        return json.dumps(value._asdict(), sort_keys=True)
     return value
 
 
@@ -251,8 +253,8 @@ def _render_value(value):
 
 def scenario_fingerprint(scenario, topology_sha256):
     # The topology enters by content (its file's SHA-256), not by file name.
-    ident = {f.name: _plain(getattr(scenario, f.name)) for f in _KEY_FIELDS
-             if f.name != "topology"}
+    ident = {key: _plain(getattr(scenario, key)) for key, _, _ in _SCHEMA
+             if key != "topology"}
     ident["topology_sha256"] = topology_sha256
     blob = json.dumps(ident, sort_keys=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()
@@ -275,14 +277,15 @@ def frag_table_check():
     return rows, mismatches
 
 
-@dataclass(slots=True)
 class _Rec:
     """Per-datagram bookkeeping for one payload simulation."""
-    source: int
-    sent_at: int
-    delivered_at: int = None
-    cause: str = None
-    cause_at: int = None
+
+    __slots__ = ("source", "sent_at", "delivered_at", "cause", "cause_at")
+
+    def __init__(self, source, sent_at):
+        self.source = source
+        self.sent_at = sent_at
+        self.delivered_at = self.cause = self.cause_at = None
 
 
 # The rows of one (seed, payload) simulation in each run-file table.
@@ -292,17 +295,22 @@ NodeRow = namedtuple("NodeRow", ("node", "hop_distance", *COUNTER_FIELDS,
 Cause = namedtuple("Cause", "cause count")
 
 
-@dataclass(slots=True)
 class Record:
     """One (seed, payload) simulation, as it is written, parsed and folded."""
-    payload: int
-    frag_count: int
-    sent: int
-    delivered: int
-    latency: list = field(default_factory=list)      # by dgram_id
-    nodes: list = field(default_factory=list)        # by node id
-    causes: list = field(default_factory=list)       # by cause
-    violations: list = field(default_factory=list)   # invariant text
+
+    __slots__ = ("payload", "frag_count", "sent", "delivered", "latency",
+                 "nodes", "causes", "violations")
+
+    def __init__(self, payload, frag_count, sent, delivered, latency=None,
+                 causes=None, violations=None):
+        self.payload = payload
+        self.frag_count = frag_count
+        self.sent = sent
+        self.delivered = delivered
+        self.latency = [] if latency is None else latency      # by dgram_id
+        self.nodes = []                                        # by node id
+        self.causes = [] if causes is None else causes         # by cause
+        self.violations = [] if violations is None else violations
 
     @property
     def pdr(self):
@@ -538,9 +546,9 @@ def _scenario_block(scenario, fingerprint, topo_sha, run_index, seed):
     # Facts of this file follow the key they qualify.
     after = {"topology": {"topology_sha256": topo_sha},
              "seeds": {"run_index": str(run_index), "seed": str(seed)}}
-    for f in _KEY_FIELDS:
-        block[f.name] = _render_value(_plain(getattr(scenario, f.name)))
-        block.update(after.get(f.name, {}))
+    for key, _, _ in _SCHEMA:
+        block[key] = _render_value(_plain(getattr(scenario, key)))
+        block.update(after.get(key, {}))
     return block
 
 

@@ -21,7 +21,7 @@ in-flight frames are charged to the node's packet arena.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_FRAME_BYTES = 127     # PHY payload cap
 PHY_OVERHEAD_BYTES = 6    # preamble 4 + SFD 1 + length 1
@@ -35,8 +35,7 @@ def airtime_us(frame_bytes):
     return (PHY_OVERHEAD_BYTES + frame_bytes) * US_PER_BYTE
 
 
-@dataclass(frozen=True, slots=True)
-class MacParams:
+class MacParams(NamedTuple):
     max_retransmissions: int = 3    # resends per frame (so 4 attempts total)
     min_be: int = 3
     max_be: int = 5
@@ -58,8 +57,7 @@ class MacParams:
         return MAX_FRAME_BYTES - self.l2_overhead
 
 
-@dataclass(slots=True)
-class Frame:
+class Frame(NamedTuple):
     """One link frame: a fragment between two neighboring nodes."""
 
     src: int

@@ -18,7 +18,7 @@ fate to the first thing that went wrong.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .buffers import DatagramKey, PacketArena, ReassemblyBuffer
 from .frag_codec import (CompressionHeader, Frag1Header, FragNHeader,
@@ -30,8 +30,7 @@ from .vrb import TagAllocator, VrbTable
 HEADER_BYTES = 48    # 40-byte IPv6 header region + 8-byte UDP header
 
 
-@dataclass(frozen=True, slots=True)
-class Strategy:
+class Strategy(NamedTuple):
     """Everything that differs between the forwarding strategies."""
 
     policy: str           # fragmentation policy of datagrams a node fragments
@@ -52,8 +51,7 @@ def build_datagram(src, dgram_id, payload_size):
         HEADER_BYTES + payload_size)
 
 
-@dataclass(frozen=True, slots=True)
-class NodeConfig:
+class NodeConfig(NamedTuple):
     id: int
     route_next_hop: object          # None exactly at the sink
     strategy: str
@@ -61,8 +59,7 @@ class NodeConfig:
     vrb_entries: int = 16           # write "no limit" as UNBOUNDED_ENTRIES
 
 
-@dataclass(frozen=True, slots=True)
-class StackParams:
+class StackParams(NamedTuple):
     comp_header_bytes: int = 24
     reassembly_timeout_us: int = 10_000_000
     vrb_lifetime_us: int = 10_000_000
@@ -199,8 +196,8 @@ class Node:
             self._reassemble_step(key, frag, dgram_id, now)
             return
         entry.covered_bytes = len(frag.payload)
-        outs = [replace(out, header=replace(out.header,
-                                            datagram_tag=entry.out_tag))
+        outs = [out._replace(header=out.header._replace(
+                    datagram_tag=entry.out_tag))
                 for out in refragment_first(frag, self.comp, self.sdu)]
         if not self.strategy.queue:
             self.counters.datagrams_forwarded += 1

@@ -1,10 +1,14 @@
 """CLI behavior: exit codes, output files, fixture reproduction."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import lowpansim
 from lowpansim.cli import main
 
 from test_harness import line_topology, write_scenario
@@ -49,6 +53,23 @@ def test_run_and_aggregate_commands(tmp_path, capsys, payloads):
     for key in ("per_payload", "latency_by_frag_count"):
         assert list(data[key]) == sorted(str(p) for p in data[key])
     assert len(data["latency_by_frag_count"]) == 2
+
+
+def test_run_path_imports_no_dataclasses_or_inspect(tmp_path):
+    # The run path imports no module it does not use; dataclasses alone
+    # would bring inspect, ast and dis into every run's process.
+    scn = write_scenario(tmp_path, line_topology(3))
+    code = ("import sys\n"
+            "from lowpansim import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(lowpansim.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code, "run", "--scenario", str(scn),
+         "--out", str(tmp_path / "out"), "--jobs", "1"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def _edit_sent_column(text, edit):

@@ -73,6 +73,13 @@ def test_encode_range_errors():
         encode_header(FragNHeader(0, 0, -1))
 
 
+def test_compression_header_size_is_range_checked():
+    assert [CompressionHeader(n).size_bytes for n in (0, 40)] == [0, 40]
+    for size in (-1, 41):
+        with pytest.raises(ValueError):
+            CompressionHeader(size)
+
+
 # --- header decode ---------------------------------------------------------
 
 def test_decode_inverse_of_encode_sampled():

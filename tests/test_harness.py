@@ -10,16 +10,15 @@ import statistics
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields, replace
 
 import pytest
 
 from lowpansim import harness
 from lowpansim.cli import main
-from lowpansim.harness import (Run, Scenario, ScenarioError, FRAG_COUNT_TABLE,
-                               UNBOUNDED_ENTRIES, _render_run, _scenario_block,
-                               aggregate_runs, load_scenario, read_run_file,
-                               run_experiment, frag_table_check,
+from lowpansim.harness import (Run, ScenarioError, FRAG_COUNT_TABLE,
+                               UNBOUNDED_ENTRIES, _SCHEMA, _render_run,
+                               _scenario_block, aggregate_runs, load_scenario,
+                               read_run_file, run_experiment, frag_table_check,
                                scenario_fingerprint, worker_count)
 from lowpansim.link_mac import CCA_DUR_US, MacParams, airtime_us
 from lowpansim.node_stack import StackParams
@@ -119,10 +118,11 @@ def test_every_scenario_key_changes_fingerprint_and_run_file(tmp_path):
         "serialize_sends": True, "mac": {"min_be": 2},
         "stack": {"proc_delay_us": 1000},
     }
-    assert set(variants) == {f.name for f in fields(Scenario)} - {"base_dir"}
+    assert set(variants) == {key for key, _, _ in _SCHEMA}
     changes = list(variants.items())
     for key, params in (("mac", MacParams), ("stack", StackParams)):
-        changes += [(key, {f.name: f.default + 1}) for f in fields(params)]
+        changes += [(key, {name: default + 1})
+                    for name, default in params._field_defaults.items()]
 
     def identity(**over):
         scn = load_scenario(write_scenario(tmp_path, line_topology(4), **over))
@@ -341,7 +341,7 @@ def test_frames_off_their_route_are_violations(tmp_path, monkeypatch, capsys):
     class Shortcut(harness.Node):
         def __init__(self, config, *args):
             if config.id == 2:
-                config = replace(config, route_next_hop=0)
+                config = config._replace(route_next_hop=0)
             super().__init__(config, *args)
 
     monkeypatch.setattr(harness, "Node", Shortcut)
@@ -375,7 +375,7 @@ def test_route_check_lists_stray_edges_and_unknown_datagrams(tmp_path,
     class Strays(harness.Node):
         def __init__(self, config, *args):
             if config.id in (2, 4):
-                config = replace(config, route_next_hop=config.id - 2)
+                config = config._replace(route_next_hop=config.id - 2)
             super().__init__(config, *args)
 
         def app_send(self, payload_size, dgram_id):

@@ -1,7 +1,6 @@
 """Tests for the CSMA/CA MAC with acknowledgements and retransmissions."""
 
 import random
-from dataclasses import replace
 
 from lowpansim.buffers import PacketArena
 from lowpansim.frag_codec import Fragment
@@ -274,7 +273,7 @@ def test_handover_release_ties_go_to_earlier_scheduled_events():
 
         def start_job(rig):
             mac = rig.macs[2]
-            mac.params = replace(mac.params, min_be=3, max_be=3)
+            mac.params = mac.params._replace(min_be=3, max_be=3)
             rig.sim.rng = draws          # only node 2 draws from here on
             mac.arena.alloc(mac.wire_size(h))
             mac._start_job(h)

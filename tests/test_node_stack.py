@@ -4,7 +4,8 @@ from functools import partial
 
 import pytest
 
-from lowpansim.frag_codec import CompressionHeader, fragment_datagram
+from lowpansim.frag_codec import (CompressionHeader, Frag1Header, FragNHeader,
+                                  Fragment, fragment_datagram)
 from lowpansim.harness import UNBOUNDED_ENTRIES
 from lowpansim.link_mac import CCA_DUR_US, Frame, MacParams, airtime_us
 from lowpansim.node_stack import Node, NodeConfig, StackParams, build_datagram
@@ -233,6 +234,41 @@ def test_ff_duplicate_first_fragment_ignored():
     fwd = line.nodes[1]
     assert fwd.counters.duplicate_fragments == 1
     assert [g[:2] for g in line.got] == [(42, datagram)]
+
+
+def test_ff_tag_rewrite_keeps_content_len_of_fresh_fragments():
+    # A forwarder with a grown compressed header splits an arriving
+    # fill-first FRAG1 and rewrites the tag of both parts.  The rewrite
+    # copies content_len, which must still count the new fragments.
+    line = Line(3, "FF", stack=StackParams(comp_header_bytes=40))
+    datagram = build_datagram(0, 42, 272)
+    frags = fragment_datagram(datagram, CompressionHeader(24), 7, 104,
+                              "fill_first")
+    sent = []
+    sink_mac = line.nodes[2].mac
+    inner = sink_mac.on_deliver
+
+    def tap(frame, now):
+        sent.append(frame.fragment)
+        inner(frame, now)
+    sink_mac.on_deliver = tap
+    inject(line, frags, range(len(frags)), range(0, 30000, 6000))
+    line.run()
+    assert [g[:2] for g in line.got] == [(42, datagram)]
+    assert [type(f.header) for f in sent[:2]] == [Frag1Header, FragNHeader]
+    assert len(sent) == len(frags) + 1
+    assert {f.header.datagram_tag for f in sent} == {0}   # forwarder's tag
+    for f in sent:
+        assert f.content_len == Fragment(f.header, f.payload,
+                                         f.comp_size).content_len
+
+
+def test_shared_parameter_records_are_read_only():
+    # One instance of each is shared by every node of a run.
+    for params, name in ((MacParams(), "min_be"),
+                         (StackParams(), "proc_delay_us")):
+        with pytest.raises(AttributeError):
+            setattr(params, name, 0)
 
 
 def test_ff_queued_bursts_after_last_fragment():

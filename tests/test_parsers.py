@@ -6,15 +6,14 @@ tokens dropped, repeated, inserted or replaced, so that most examples get
 past the first check.
 """
 
-from dataclasses import fields
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowpansim.harness import (STUDY_PAYLOADS, Run, Scenario, ScenarioError,
-                               load_scenario, read_run_file, run_experiment,
-                               scenario_from_dict)
+                               _SCHEMA, load_scenario, read_run_file,
+                               run_experiment, scenario_from_dict)
 from lowpansim.link_mac import MacParams
 from lowpansim.node_stack import StackParams
 from lowpansim.topology import Topology, TopologyFileError, load_topology
@@ -68,7 +67,7 @@ def edited(draw, text, sep):
 
 
 def _params(cls):
-    return st.dictionaries(st.sampled_from([f.name for f in fields(cls)])
+    return st.dictionaries(st.sampled_from(cls._fields)
                            | st.text(max_size=4),
                            st.integers(-2, 300) | SCALARS, max_size=4)
 
@@ -86,8 +85,7 @@ VALUES = {
     "mac": _params(MacParams) | JSON,
     "stack": _params(StackParams) | JSON,
 }
-KEYS = ["version", "frobnicate"] + [f.name for f in fields(Scenario)
-                                     if f.name != "base_dir"]
+KEYS = ["version", "frobnicate"] + [key for key, _, _ in _SCHEMA]
 
 
 @st.composite
