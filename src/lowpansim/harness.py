@@ -8,12 +8,10 @@ Records in the tables of _TABLES, and aggregate_runs folds Records.
 Reruns are byte identical, whatever the worker count.
 """
 
-import hashlib
 import json
 import math
 import os
 import re
-import statistics
 import sys
 import threading
 from collections import Counter, namedtuple
@@ -24,7 +22,7 @@ from .frag_codec import CompressionHeader, fragment_count
 from .link_mac import MacParams
 from .metrics import COUNTER_FIELDS
 from .node_stack import (HEADER_BYTES, STRATEGIES, Node, NodeConfig,
-                         StackParams, build_datagram)
+                         StackParams, build_datagram, sha256)
 from .sim_core import Medium, Simulator
 from .topology import load_topology
 
@@ -257,7 +255,7 @@ def scenario_fingerprint(scenario, topology_sha256):
              if key != "topology"}
     ident["topology_sha256"] = topology_sha256
     blob = json.dumps(ident, sort_keys=True).encode("ascii")
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def frag_table_check():
@@ -578,7 +576,7 @@ def run_experiment(scenario, outdir, jobs=None):
     if not topo.senders():
         raise ScenarioError("topology %s has no sender: every member is the "
                             "sink or one hop from it" % topo_path)
-    topo_sha = hashlib.sha256(topo_path.read_bytes()).hexdigest()
+    topo_sha = sha256(topo_path.read_bytes()).hexdigest()
     fingerprint = scenario_fingerprint(scenario, topo_sha)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -613,7 +611,8 @@ def _parse_run(text):
     sections = {name: [line for line in body.split("\n") if line]
                 for name, body in zip(parts[::2], parts[1::2])}
     block = dict(line.split("\t", 1) for line in sections.get("scenario", ()))
-    needed = ("fingerprint", "strategy", "topology_sha256", "seeds")
+    needed = ("fingerprint", "strategy", "topology_sha256", "seeds",
+              "run_index")
     if not set(needed) <= set(block):
         raise ScenarioError("[scenario] needs %s" % ", ".join(needed))
     _seeds(block)                   # raises ValueError unless integers
@@ -662,11 +661,31 @@ def _percentile(samples, frac):
     return ordered[rank]
 
 
+# statistics.mean and .median for ints and floats, without the import:
+# statistics brings fractions and decimal into every run.
+def _mean(data):
+    """The exact mean, rounded once; an int when all-int data divide evenly."""
+    ratios = [x.as_integer_ratio() for x in data]
+    lcm = math.lcm(*(d for _, d in ratios))
+    num, den = sum(n * (lcm // d) for n, d in ratios), lcm * len(data)
+    if num % den == 0 and all(type(x) is int for x in data):
+        return num // den
+    return num / den
+
+
+def _median(data):
+    ordered = sorted(data)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _stats(samples):
     return {
         "count": len(samples),
-        "mean_us": statistics.mean(samples),
-        "median_us": statistics.median(samples),
+        "mean_us": _mean(samples),
+        "median_us": _median(samples),
         "p95_us": _percentile(samples, 0.95),
     }
 
@@ -679,6 +698,11 @@ def aggregate_runs(runs):
     if len(fingerprints) != 1:
         raise ScenarioError("refusing to aggregate mixed scenarios: %s"
                             % sorted(fingerprints))
+    indices = Counter(run.block["run_index"] for run in runs)
+    repeated = sorted(i for i, n in indices.items() if n > 1)
+    if repeated:
+        raise ScenarioError("refusing to count a run twice: run_index %s "
+                            "given more than once" % ", ".join(repeated))
     block = runs[0].block
 
     # JSON keys stay strings, so that sort_keys orders "12" before "2".
@@ -711,14 +735,14 @@ def aggregate_runs(runs):
             retrans = [n.l2_retransmissions for n in r.nodes]
             run_retrans += retrans
             entry["l2_retransmissions_per_node"].append(
-                statistics.mean(retrans))
+                _mean(retrans))
             for n in r.nodes:
                 pktbuf_max = max(pktbuf_max, n.pktbuf_high_water)
                 where = "sink" if n.hop_distance == 0 else "others"
                 for name in rbuf_counters:
                     rbuf["%s_%s" % (name, where)] += getattr(n, name)
             violations += len(r.violations)
-        retrans_run_means.append(statistics.mean(run_retrans))
+        retrans_run_means.append(_mean(run_retrans))
 
     no_first = rbuf["rbuf_timeout_no_first_others"]
     others = rbuf["rbuf_timeout_others"]
@@ -728,8 +752,8 @@ def aggregate_runs(runs):
     rbuf["no_first_share_all"] = no_first / expired if expired else None
 
     for entry in per_payload.values():
-        entry["pdr_mean"] = statistics.mean(entry["pdr"])
-        entry["l2_retransmissions_per_node_mean"] = statistics.mean(
+        entry["pdr_mean"] = _mean(entry["pdr"])
+        entry["l2_retransmissions_per_node_mean"] = _mean(
             entry["l2_retransmissions_per_node"])
 
     return {
@@ -746,7 +770,7 @@ def aggregate_runs(runs):
                                   for k, v in sorted(lat_by_frags.items())},
         "loss_causes": dict(sorted(causes.items())),
         "l2_retransmissions_per_node_mean":
-            statistics.mean(retrans_run_means),
+            _mean(retrans_run_means),
         "pktbuf_high_water_max": pktbuf_max,
         "rbuf": rbuf,
         "violations": violations,

@@ -17,8 +17,18 @@ through on_drop with a cause, so a harness can attribute each datagram's
 fate to the first thing that went wrong.
 """
 
-import hashlib
 from typing import NamedTuple
+
+# CPython's built-in hashes, as `random` takes its sha512: `hashlib` would
+# load OpenSSL's libcrypto, megabytes of resident memory, into every run.
+try:
+    from _sha3 import shake_256
+    try:
+        from _sha2 import sha256            # 3.12 and later
+    except ImportError:
+        from _sha256 import sha256          # 3.10 and 3.11
+except ImportError:                         # built without them
+    from hashlib import sha256, shake_256
 
 from .buffers import DatagramKey, PacketArena, ReassemblyBuffer
 from .frag_codec import (CompressionHeader, Frag1Header, FragNHeader,
@@ -47,7 +57,7 @@ STRATEGIES = {
 
 def build_datagram(src, dgram_id, payload_size):
     """Deterministic datagram bytes, so the sink can verify integrity."""
-    return hashlib.shake_256(b"%d:%d" % (src, dgram_id)).digest(
+    return shake_256(b"%d:%d" % (src, dgram_id)).digest(
         HEADER_BYTES + payload_size)
 
 

@@ -185,6 +185,13 @@ def find_topology(plan, sink, start_seed=0, member_target=MEMBER_TARGET,
     Acceptance needs a bottleneck forwarder and, when max_hops is given,
     that exact tree depth. Returns (topology, seed).
     """
+    # The bottleneck is not the sink, so its children are 2+ hops out.
+    if max_hops is not None and max_hops < 2:
+        raise TopologyRequestError("max hops %d: an accepted tree has a "
+                                   "bottleneck forwarder, so a depth of at "
+                                   "least 2" % max_hops)
+    if tries < 1:
+        raise TopologyRequestError("tries must be positive, not %d" % tries)
     for seed in range(start_seed, start_seed + tries):
         try:
             topo = build_topology(plan, sink, seed, member_target)

@@ -55,21 +55,33 @@ def test_run_and_aggregate_commands(tmp_path, capsys, payloads):
     assert len(data["latency_by_frag_count"]) == 2
 
 
-def test_run_path_imports_no_dataclasses_or_inspect(tmp_path):
-    # The run path imports no module it does not use; dataclasses alone
-    # would bring inspect, ast and dis into every run's process.
+def _run_path_imports(tmp_path, names):
+    """Which of `names` a `--jobs 1` run's process has imported."""
     scn = write_scenario(tmp_path, line_topology(3))
     code = ("import sys\n"
             "from lowpansim import cli\n"
             "assert cli.main(sys.argv[1:]) == 0\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+            "print(sorted(%r & set(sys.modules)))\n" % set(names))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(lowpansim.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", code, "run", "--scenario", str(scn),
          "--out", str(tmp_path / "out"), "--jobs", "1"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    return out.splitlines()[-1]
+
+
+def test_run_path_imports_no_dataclasses_or_inspect(tmp_path):
+    # The run path imports no module it does not use; dataclasses alone
+    # would bring inspect, ast and dis into every run's process.
+    assert _run_path_imports(tmp_path, {"dataclasses", "inspect"}) == "[]"
+
+
+def test_run_path_loads_no_openssl_or_statistics(tmp_path):
+    # hashlib loads OpenSSL's libcrypto through _hashlib, and statistics
+    # brings fractions and decimal: megabytes of resident memory per run.
+    names = {"_hashlib", "hashlib", "statistics", "fractions", "decimal"}
+    assert _run_path_imports(tmp_path, names) == "[]"
 
 
 def _edit_sent_column(text, edit):
@@ -209,10 +221,26 @@ def test_aggregate_refuses_mixed_inputs_via_cli(tmp_path, capsys):
     assert "mixed" in capsys.readouterr().err
 
 
+def test_aggregate_refuses_a_run_file_given_twice(tmp_path, capsys):
+    scn = write_scenario(tmp_path, line_topology(4), seeds=[1, 2])
+    assert main(["run", "--scenario", str(scn), "--out",
+                 str(tmp_path / "o")]) == 0
+    run0 = str(tmp_path / "o" / "run-00.txt")
+    agg = tmp_path / "agg.json"
+    capsys.readouterr()
+    assert main(["aggregate", "--out", str(agg), run0, run0]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "run_index 0" in err
+    assert len(err.splitlines()) == 1 and not agg.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--members", "2"], "member target 2"),
     (["--sink", "999"], "sink 999 not in plan"),
-], ids=("members-2", "sink-999"))
+    (["--max-hops", "0"], "max hops 0"),
+    (["--max-hops", "1"], "max hops 1"),
+    (["--tries", "-1"], "tries must be positive, not -1"),
+], ids=("members-2", "sink-999", "max-hops-0", "max-hops-1", "tries-neg"))
 def test_generate_topology_bad_request_exits_2(tmp_path, capsys, flags,
                                                message):
     out = tmp_path / "net.txt"

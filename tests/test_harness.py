@@ -12,6 +12,7 @@ import threading
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowpansim import harness
 from lowpansim.cli import main
@@ -468,6 +469,38 @@ def test_aggregate_matches_independent_fold(tmp_path):
         statistics.mean(pdrs))
     assert agg["l2_retransmissions_per_node_mean"] == pytest.approx(
         statistics.mean(retrans))
+
+
+def test_digests_are_hashlib_sha256(tmp_path, monkeypatch):
+    # The run path takes sha256 from a built-in module, not hashlib: the
+    # topology digest and the fingerprint must stay the same.
+    scn = load_scenario(write_scenario(tmp_path, line_topology(4)))
+    files, _ = run_experiment(scn, tmp_path / "out")
+    block = read_run_file(files[0]).block
+    topo_sha = hashlib.sha256(scn.topology_path().read_bytes()).hexdigest()
+    assert block["topology_sha256"] == topo_sha
+    fingerprint = scenario_fingerprint(scn, topo_sha)
+    monkeypatch.setattr(harness, "sha256", hashlib.sha256)
+    assert block["fingerprint"] == fingerprint == scenario_fingerprint(
+        scn, topo_sha)
+
+
+_PDR = st.integers(1, 10 ** 4).flatmap(
+    lambda n: st.integers(0, n).map(lambda k: k / n))
+_MEANS = (st.lists(_PDR, min_size=1, max_size=8)
+          | st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8)
+          ).map(statistics.mean)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1)
+       | st.lists(_PDR | _MEANS, min_size=1))
+def test_mean_and_median_match_statistics(data):
+    # aggregate.json holds these values, so repr and type must both match.
+    for ours, theirs in ((harness._mean, statistics.mean),
+                         (harness._median, statistics.median)):
+        got, want = ours(data), theirs(data)
+        assert (type(got), repr(got)) == (type(want), repr(want)), data
 
 
 def test_aggregate_refuses_mixed_scenarios(tmp_path):

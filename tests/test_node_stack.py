@@ -1,5 +1,6 @@
 """Tests for the per-node 6LoWPAN layer and its forwarding strategies."""
 
+import hashlib
 from functools import partial
 
 import pytest
@@ -68,6 +69,16 @@ def test_build_datagram_deterministic_and_sized():
     assert a == build_datagram(3, 17, 272)
     assert a != build_datagram(3, 18, 272)
     assert a != build_datagram(4, 17, 272)
+
+
+@pytest.mark.parametrize("payload", (0, 16, 272, 1232))
+def test_build_datagram_bytes_are_hashlib_shake_256(payload):
+    # The run path takes shake_256 from the built-in _sha3, not hashlib:
+    # every datagram byte must stay the same.
+    for src, dgram_id in ((0, 0), (3, 17), (49, 10 ** 6)):
+        expected = hashlib.shake_256(b"%d:%d" % (src, dgram_id))
+        assert build_datagram(src, dgram_id, payload) == expected.digest(
+            48 + payload)
 
 
 def test_single_frame_latency_closed_form():
