@@ -96,8 +96,8 @@ class Fragment(namedtuple("Fragment",
     slice of the uncompressed datagram; comp_size is the wire size of the
     compressed header (first fragment and unfragmented frames only).
     content_len, derived at construction, is the total 6LoWPAN content in
-    bytes: fragment header plus wire payload.  `_replace` copies it, so
-    it may rewrite a header's tag but not what content_len counts.
+    bytes: fragment header plus wire payload.  `_replace` copies it
+    unchanged, so a changed fragment is built anew.
     """
 
     __slots__ = ()
@@ -232,27 +232,28 @@ def fragment_datagram(datagram, comp, tag, sdu, policy):
     return frags
 
 
-def refragment_first(first_frag, new_comp, sdu):
-    """Fit a first fragment under a changed compressed-header size.
+def refragment_first(first_frag, new_comp, sdu, tag):
+    """Fit a first fragment under a changed compressed-header size, as a
+    forwarder sends it on under its own datagram tag.
 
     Returns [fragment] when the new header still fits, else splits the
     coverage into a FRAG1 plus one FRAGN, both with the original datagram
-    size and tag.
+    size and with `tag`.
     """
     header = first_frag.header
     if not isinstance(header, Frag1Header):
         raise FragmentationError("not a first fragment: %r" % (header,))
+    first = Frag1Header(header.datagram_size, tag)
     data_len = len(first_frag.payload) - HEADER_REGION
     if FRAG1_HEADER_LEN + new_comp.size_bytes + data_len <= sdu:
-        return [Fragment(header, first_frag.payload, new_comp.size_bytes)]
+        return [Fragment(first, first_frag.payload, new_comp.size_bytes)]
     keep = _floor8(sdu - FRAG1_HEADER_LEN - new_comp.size_bytes)
     if keep < 0:
         raise FragmentationError("compressed header does not fit the sdu")
     split = HEADER_REGION + keep
     return [
-        Fragment(header, first_frag.payload[:split], new_comp.size_bytes),
-        Fragment(FragNHeader(header.datagram_size, header.datagram_tag,
-                             split // 8),
+        Fragment(first, first_frag.payload[:split], new_comp.size_bytes),
+        Fragment(FragNHeader(header.datagram_size, tag, split // 8),
                  first_frag.payload[split:]),
     ]
 

@@ -480,7 +480,7 @@ def _simulate(scenario, topo, seed, payload):
             violations.append("node %d still holds reassembly state" % nid)
         if node.tags.live:
             violations.append("node %d still holds datagram tags" % nid)
-        if node.frag_jobs or node.mac.queue or node.mac.current:
+        if node.jobs or node.mac.queue or node.mac.current:
             violations.append("node %d still holds frames" % nid)
     return result
 
@@ -600,10 +600,6 @@ def read_run_file(path):
         raise ScenarioError("%s: malformed run file: %s" % (path, err))
 
 
-def _seeds(block):
-    return [int(s) for s in block["seeds"].split(",")]
-
-
 def _parse_run(text):
     head, *parts = re.split(r"^\[(\w+)\]\n", text, flags=re.MULTILINE)
     if head != "metrics v1\n":
@@ -611,11 +607,11 @@ def _parse_run(text):
     sections = {name: [line for line in body.split("\n") if line]
                 for name, body in zip(parts[::2], parts[1::2])}
     block = dict(line.split("\t", 1) for line in sections.get("scenario", ()))
-    needed = ("fingerprint", "strategy", "topology_sha256", "seeds",
+    needed = ("fingerprint", "strategy", "topology_sha256", "seed",
               "run_index")
     if not set(needed) <= set(block):
         raise ScenarioError("[scenario] needs %s" % ", ".join(needed))
-    _seeds(block)                   # raises ValueError unless integers
+    int(block["seed"])              # raises ValueError unless an integer
     records = {}
     for section, lead, rows, row_type in _TABLES:
         columns = lead + (row_type._fields if rows else ())
@@ -762,7 +758,7 @@ def aggregate_runs(runs):
         "strategy": block["strategy"],
         "topology_sha256": block["topology_sha256"],
         "runs": len(runs),
-        "seeds": _seeds(block),
+        "seeds": [int(run.block["seed"]) for run in runs],
         "per_payload": per_payload,
         "latency_by_hops": {k: _stats(v)
                             for k, v in sorted(lat_by_hops.items())},

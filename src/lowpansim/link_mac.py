@@ -64,7 +64,7 @@ class Frame(NamedTuple):
     dst: int
     fragment: object
     dgram_id: int
-    job: object = None    # originating fragmentation job, if any
+    job: object = None    # tag of its local fragmentation job, if any
 
 
 class Mac:
@@ -72,9 +72,11 @@ class Mac:
 
     `on_deliver(frame, now)` receives each frame that arrived intact and
     was acked; `on_frame_done(frame, ok, cause)` ends each frame sent.
-    The frame buffer is taken by `current_rx` while a frame arrives, then
-    by `rx_held` until the `_rx_release` event, so an event queued for
-    that instant before the reception ended still finds it held."""
+    The frame buffer is taken by `current_rx` from a frame's start, when
+    the medium sets it, to its end, when `reception_ended` clears it; an
+    intact frame then holds it by `rx_held` until the `_rx_release` event,
+    so an event queued for that instant before the reception ended still
+    finds it held."""
 
     __slots__ = ("node_id", "sim", "medium", "params", "counters", "arena",
                  "on_deliver", "on_frame_done", "queue", "current",
@@ -114,14 +116,19 @@ class Mac:
     def _busy_end(self):
         return max(self.tx_until, self.rx_busy_until, self.rx_hold_until)
 
-    def frame_received(self):
-        """A reception completed; hold the frame buffer during handover."""
+    def reception_ended(self, rx):
+        """Close the reception `rx` opened here; return whether its frame
+        arrived intact, and if so hold the frame buffer for the handover."""
         self.current_rx = None
+        if rx.destroyed:
+            self.counters.collisions += 1
+            return False
         hold = self.params.rx_handover_us
         if hold > 0:
             self.rx_held = True
             self.rx_hold_until = self.sim.now + hold
             self.sim.at(self.rx_hold_until, self._rx_release)
+        return True
 
     def _rx_release(self):
         self.rx_held = False
@@ -217,14 +224,15 @@ class Mac:
                 # Committed to transmit during the CCA turnaround while a
                 # frame was arriving: reception is aborted.
                 self.current_rx.destroyed = True
-            self.medium.begin_tx(self, frame, now, t1)
+            opened = self.medium.begin_tx(self, frame, now, t1)
             sim.at(t1, next, job, None)
             yield
-            delivered, dest = self.medium.finish_tx(self, frame)
-            if delivered:
-                self._finish_job(frame, size, True, None)
-                dest.on_deliver(frame, sim.now)
-                return
+            if opened is not None:
+                dest, rx = opened
+                if dest.reception_ended(rx):
+                    self._finish_job(frame, size, True, None)
+                    dest.on_deliver(frame, sim.now)
+                    return
         self._finish_job(frame, size, False, "retrans_exhausted")
 
     def _finish_job(self, frame, size, ok, cause):

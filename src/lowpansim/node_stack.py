@@ -78,17 +78,6 @@ class StackParams(NamedTuple):
     arena_bytes: object = 6144         # shared packet pool; None = unbounded
 
 
-class _FragJob:
-    """One local fragmentation; holds its tag and a fragmentation slot
-    until all its frames left the MAC."""
-
-    __slots__ = ("tag", "remaining")
-
-    def __init__(self, tag):
-        self.tag = tag
-        self.remaining = 0
-
-
 class Node:
     """One network node: MAC, buffers, and the configured strategy."""
 
@@ -113,7 +102,7 @@ class Node:
         self.vrb = VrbTable(sim, config.vrb_entries,
                             self.stack.vrb_lifetime_us, self.counters,
                             self.tags, on_drop, self.arena)
-        self.frag_jobs = 0               # live local fragmentation jobs
+        self.jobs = {}       # each live fragmentation's tag -> frames in MAC
 
     # -- sending --------------------------------------------------------
 
@@ -125,29 +114,28 @@ class Node:
 
     def _send_fragments(self, datagram, dgram_id):
         me, next_hop = self.config.id, self.config.route_next_hop
-        if (self.frag_jobs >= self.stack.frag_buffer_slots
+        if (len(self.jobs) >= self.stack.frag_buffer_slots
                 or self.tags.full()):
             self.counters.frag_buf_full += 1
             self.on_drop(dgram_id, "frag_buf_full", self.sim.now)
             return False
-        self.frag_jobs += 1
-        job = _FragJob(self.tags.acquire())
-        frags = fragment_datagram(datagram, self.comp, job.tag, self.sdu,
+        tag = self.tags.acquire()
+        frags = fragment_datagram(datagram, self.comp, tag, self.sdu,
                                   self.strategy.policy)
-        job.remaining = len(frags)
+        self.jobs[tag] = len(frags)
         for frag in frags:
-            self.mac.send(Frame(me, next_hop, frag, dgram_id, job))
+            self.mac.send(Frame(me, next_hop, frag, dgram_id, tag))
         return True
 
     def _on_frame_done(self, frame, ok, cause):
         if not ok:
             self.on_drop(frame.dgram_id, cause, self.sim.now)
-        job = frame.job
-        if job is not None:
-            job.remaining -= 1
-            if job.remaining == 0:
-                self.frag_jobs -= 1
-                self.tags.release(job.tag)
+        tag = frame.job
+        if tag is not None:
+            self.jobs[tag] -= 1
+            if not self.jobs[tag]:
+                del self.jobs[tag]
+                self.tags.release(tag)
 
     # -- receiving ------------------------------------------------------
 
@@ -206,9 +194,7 @@ class Node:
             self._reassemble_step(key, frag, dgram_id, now)
             return
         entry.covered_bytes = len(frag.payload)
-        outs = [out._replace(header=out.header._replace(
-                    datagram_tag=entry.out_tag))
-                for out in refragment_first(frag, self.comp, self.sdu)]
+        outs = refragment_first(frag, self.comp, self.sdu, entry.out_tag)
         if not self.strategy.queue:
             self.counters.datagrams_forwarded += 1
         self._vrb_emit(entry, outs, dgram_id)

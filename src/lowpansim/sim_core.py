@@ -24,8 +24,9 @@ The medium models a single channel:
   each copy elsewhere is judged on its own.
 
 Transceiver state lives on the MAC objects (tx_until, rx_busy_until,
-current_rx, rx_held, counters); the medium only reads and updates it,
-reaching each MAC through one link map that `add_link` alone builds.
+current_rx, rx_held, counters), reached through one link map that
+`add_link` alone builds.  The medium opens a reception at a frame's
+destination and marks every neighbour busy; the receiving MAC closes it.
 """
 
 import heapq
@@ -76,9 +77,9 @@ class Simulator:
 
 
 class RxState:
-    """The frame arriving at its destination while it is still in the air.
-    A colliding transmission destroys it; once received it leaves the
-    medium, and the destination's MAC holds its buffer for the handover."""
+    """The frame arriving at its destination while it is still in the air:
+    the medium opens it there, a colliding transmission destroys it, and
+    the destination's MAC closes it and holds an intact frame's buffer."""
 
     __slots__ = ("frame", "destroyed")
 
@@ -103,11 +104,12 @@ class Medium:
         self.links.setdefault(b.node_id, {})[a.node_id] = (a, pdr)
 
     def begin_tx(self, sender, frame, t0, t1):
-        """Account a transmission over [t0, t1) at every in-range node.
-        The frame's destination is a neighbor: nodes send only along
-        route edges, and every route edge has a link."""
+        """Account a transmission over [t0, t1) at every in-range node;
+        return (dest_mac, rx), the reception opened at the destination (a
+        neighbor, on a route edge), or None if the frame is lost at once."""
         links = self.links[sender.node_id]
         dest, pdr = links[frame.dst]
+        opened = None
         if pdr < 1.0 and self.rng.random() >= pdr:
             sender.counters.channel_losses += 1
         elif dest.tx_until > t0 or dest.rx_held:
@@ -119,23 +121,12 @@ class Medium:
             else:
                 dest.counters.busy_losses += 1
         else:
-            dest.current_rx = RxState(frame)
+            dest.current_rx = rx = RxState(frame)
+            opened = (dest, rx)
         for nbr, _ in links.values():
             if nbr.rx_busy_until < t1:
                 nbr.rx_busy_until = t1
             rx = nbr.current_rx
             if rx is not None and rx.frame is not frame:
                 rx.destroyed = True
-
-    def finish_tx(self, sender, frame):
-        """Resolve a transmission; returns (delivered, dest_mac)."""
-        dest = self.links[sender.node_id][frame.dst][0]
-        rx = dest.current_rx
-        if rx is not None and rx.frame is frame:
-            if rx.destroyed:
-                dest.current_rx = None
-                dest.counters.collisions += 1
-                return (False, dest)
-            dest.frame_received()
-            return (True, dest)
-        return (False, dest)
+        return opened

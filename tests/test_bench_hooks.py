@@ -35,9 +35,12 @@ nodes = [Node(NodeConfig(id=i, route_next_hop=i + 1 if i < 2 else None,
 for a, b in zip(nodes, nodes[1:]):
     medium.add_link(a.mac, b.mac, 1.0)
 sim.at(0, nodes[0].app_send, 176, 1)
+tracer.profile.enable()
 sim.run()
+tracer.profile.disable()
 print(nodes[2].counters.datagrams_delivered,
-      tracer.counts["sim_core.events"], tracer.counts["medium.transmissions"])
+      tracer.counts["sim_core.events"], tracer.counts["medium.transmissions"],
+      tracer.summary()["medium.self_s"] > 0)
 
 # A whole `lowpansim run`, which must simulate and fold through the
 # harness names that the tracer times.
@@ -58,7 +61,9 @@ def test_benchmark_tracer_installs(tmp_path):
     # otherwise surface only as failed benchmark operations.  Its wrapper
     # of Simulator.at must also pass the scheduled call's arguments on,
     # and `run` must call harness.run_one and harness.aggregate_runs
-    # through the module, or their timers stay at zero.
+    # through the module, or their timers stay at zero.  Self time is
+    # charged to the medium by looking up sim_core.Medium and
+    # sim_core.RxState, so the profiled simulation must report some.
     scenario = write_scenario(tmp_path, line_topology(4))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
@@ -68,9 +73,11 @@ def test_benchmark_tracer_installs(tmp_path):
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     line, run = proc.stdout.splitlines()
-    delivered, events, transmissions = map(int, line.split())
+    *counts, medium_self = line.split()
+    delivered, events, transmissions = map(int, counts)
     assert delivered == 1
     assert events > 0 and transmissions > 0
+    assert medium_self == "True"
     assert run.split() == ["0", "True", "True"]
 
 

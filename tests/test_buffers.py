@@ -243,7 +243,7 @@ def _arrivals(draw):
         st.integers(0, 40))), 0, 104, draw(st.sampled_from(POLICIES)))
     if draw(st.booleans()):
         grown = CompressionHeader(draw(st.integers(0, 40)))
-        frags[:1] = refragment_first(frags[0], grown, 104)
+        frags[:1] = refragment_first(frags[0], grown, 104, 0)
     pieces = [(f.offset, f.payload) for f in frags]
     for _ in range(draw(st.integers(0, 6))):
         start = draw(st.integers(0, size - 1))

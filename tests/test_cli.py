@@ -234,6 +234,29 @@ def test_aggregate_refuses_a_run_file_given_twice(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and not agg.exists()
 
 
+def test_aggregate_reports_the_seeds_of_the_files_it_folds(tmp_path, capsys):
+    # Each folded file's own seed, in fold order, beside its pdr value;
+    # not the whole scenario's seed list.
+    scn = write_scenario(tmp_path, line_topology(5), seeds=[1, 2],
+                         force_link_pdr=0.6)
+    assert main(["run", "--scenario", str(scn), "--out",
+                 str(tmp_path / "o")]) == 0
+    run0, run1 = (str(tmp_path / "o" / ("run-%02d.txt" % i)) for i in (0, 1))
+
+    def aggregate(*files):
+        out = tmp_path / "agg.json"
+        assert main(["aggregate", "--out", str(out), *files]) == 0
+        return json.loads(out.read_text())
+    one = aggregate(run1)
+    assert one["runs"] == 1 and one["seeds"] == [2]
+    pdr = {run: aggregate(run)["per_payload"]["80"]["pdr"]
+           for run in (run0, run1)}
+    assert pdr[run0] != pdr[run1]            # so the order shows
+    both = aggregate(run1, run0)
+    assert both["runs"] == 2 and both["seeds"] == [2, 1]
+    assert both["per_payload"]["80"]["pdr"] == pdr[run1] + pdr[run0]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--members", "2"], "member target 2"),
     (["--sink", "999"], "sink 999 not in plan"),

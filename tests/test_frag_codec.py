@@ -16,6 +16,7 @@ from lowpansim.frag_codec import (
     EncodeError,
     Frag1Header,
     FragNHeader,
+    Fragment,
     FragmentationError,
     NOT_A_FRAGMENT,
     decode_header,
@@ -275,7 +276,8 @@ def test_refragment_identity_when_header_shrinks_or_fits():
     dg = _datagram(1280)
     first = _first_fragment(dg, "fill_first")
     for new_size in (16, 24):
-        out = refragment_first(first, CompressionHeader(new_size), SDU)
+        out = refragment_first(first, CompressionHeader(new_size), SDU,
+                               first.header.datagram_tag)
         assert len(out) == 1
         assert out[0].payload == first.payload
         assert out[0].comp_size == new_size
@@ -286,7 +288,7 @@ def test_refragment_split_on_growth():
     dg = _datagram(1280)
     first = _first_fragment(dg, "fill_first")  # covers 40 + 72 bytes
     grown = CompressionHeader(40)
-    out = refragment_first(first, grown, SDU)
+    out = refragment_first(first, grown, SDU, first.header.datagram_tag)
     assert len(out) == 2
     assert isinstance(out[0].header, Frag1Header)
     assert isinstance(out[1].header, FragNHeader)
@@ -307,7 +309,8 @@ def test_refragment_minimal_first_is_identity_for_any_growth():
     dg = _datagram(1280)
     first = _first_fragment(dg, "minimal_first")
     for new_size in range(0, 41):
-        out = refragment_first(first, CompressionHeader(new_size), SDU)
+        out = refragment_first(first, CompressionHeader(new_size), SDU,
+                               first.header.datagram_tag)
         assert len(out) == 1
         assert out[0].payload == first.payload
 
@@ -317,7 +320,8 @@ def test_refragment_roundtrip_over_growth_sweep():
     for policy in ("minimal_first", "fill_first"):
         frags = fragment_datagram(dg, COMP, tag=4, sdu=SDU, policy=policy)
         for new_size in range(0, 41):
-            out = refragment_first(frags[0], CompressionHeader(new_size), SDU)
+            out = refragment_first(frags[0], CompressionHeader(new_size), SDU,
+                                   4)
             assert reassemble(list(out) + frags[1:]) == dg
 
 
@@ -325,4 +329,18 @@ def test_refragment_rejects_non_first_fragment():
     dg = _datagram(512)
     frags = fragment_datagram(dg, COMP, tag=4, sdu=SDU, policy="fill_first")
     with pytest.raises(FragmentationError):
-        refragment_first(frags[1], COMP, SDU)
+        refragment_first(frags[1], COMP, SDU, 4)
+
+
+def test_refragment_builds_every_output_under_the_given_tag():
+    # A forwarder sends the first fragment on under its own out tag, the
+    # split FRAGN included; size, coverage and content_len are those of
+    # fragments built afresh.
+    first = _first_fragment(_datagram(1280), "fill_first")
+    for new_size in (24, 40):                # fits, then splits
+        out = refragment_first(first, CompressionHeader(new_size), SDU, 9)
+        assert {f.header.datagram_tag for f in out} == {9}
+        assert {f.header.datagram_size for f in out} == {1280}
+        assert b"".join(f.payload for f in out) == first.payload
+        for f in out:
+            assert f == Fragment(f.header, f.payload, f.comp_size)

@@ -224,12 +224,13 @@ def _transmit(rig, mac, frame):
     step does, and deliver it at the end if it arrived intact."""
     t0 = rig.sim.now
     mac.tx_until = t1 = t0 + airtime_us(mac.wire_size(frame))
-    rig.medium.begin_tx(mac, frame, t0, t1)
+    opened = rig.medium.begin_tx(mac, frame, t0, t1)
 
     def end():
-        delivered, dest = rig.medium.finish_tx(mac, frame)
-        if delivered:
-            dest.on_deliver(frame, rig.sim.now)
+        if opened is not None:
+            dest, rx = opened
+            if dest.reception_ended(rx):
+                dest.on_deliver(frame, rig.sim.now)
     rig.sim.at(t1, end)
 
 

@@ -249,8 +249,8 @@ def test_ff_duplicate_first_fragment_ignored():
 
 def test_ff_tag_rewrite_keeps_content_len_of_fresh_fragments():
     # A forwarder with a grown compressed header splits an arriving
-    # fill-first FRAG1 and rewrites the tag of both parts.  The rewrite
-    # copies content_len, which must still count the new fragments.
+    # fill-first FRAG1 and builds both parts under its own tag, each with
+    # the content_len of a freshly built fragment.
     line = Line(3, "FF", stack=StackParams(comp_header_bytes=40))
     datagram = build_datagram(0, 42, 272)
     frags = fragment_datagram(datagram, CompressionHeader(24), 7, 104,
@@ -342,7 +342,7 @@ def test_fragmentation_slot_freed_once_frames_left_the_mac():
     src = line.nodes[0]
     jobs = []
     line.send(272, 1, at=0)
-    line.sim.at(1, lambda: jobs.append(src.frag_jobs))
+    line.sim.at(1, lambda: jobs.append(len(src.jobs)))
     line.send(272, 2, at=1)                      # 4 frames still in the MAC
     line.send(272, 3, at=1_000_000)              # long after they left
     line.run()
@@ -350,7 +350,34 @@ def test_fragmentation_slot_freed_once_frames_left_the_mac():
     assert src.counters.frag_buf_full == 1
     assert line.drops == [(0, 2, "frag_buf_full")]
     assert [g[0] for g in line.got] == [1, 3]
-    assert src.frag_jobs == 0
+    assert len(src.jobs) == 0
+
+
+def test_job_holds_its_tag_and_slot_until_frames_left_after_drops_finish():
+    # Room for one queued frame: of the 4 fragments, frames 3 and 4 drop
+    # as they are sent, while frames 1 and 2 are still in the MAC.  The job
+    # keeps tag 0 and its one slot until those two frames finish, so a
+    # second datagram finds no slot.
+    line = Line(2, "HWR", stack=StackParams(frag_buffer_slots=1),
+                mac=DET._replace(queue_capacity=1))
+    src = line.nodes[0]
+    held = []
+    inner = src.mac.on_frame_done
+
+    def done(frame, ok, cause):
+        inner(frame, ok, cause)
+        held.append((cause, dict(src.jobs), set(src.tags.live)))
+    src.mac.on_frame_done = done
+    line.send(272, 1, at=0)
+    line.send(272, 2, at=1)
+    line.run()
+    assert held == [("queue_drop", {0: 3}, {0}), ("queue_drop", {0: 2}, {0}),
+                    (None, {0: 1}, {0}), (None, {}, set())]
+    # The sink's partial reassembly of datagram 1 times out at the end.
+    assert line.drops == [(0, 1, "queue_drop"), (0, 1, "queue_drop"),
+                          (0, 2, "frag_buf_full"), (1, 1, "rbuf_timeout")]
+    assert src.jobs == {} and not src.tags.live
+    assert line.got == []
 
 
 def test_exhausted_tag_space_drops_datagram_as_frag_buf_full():

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from lowpansim.buffers import PacketArena
+from lowpansim.link_mac import Mac, MacParams
 from lowpansim.metrics import NodeCounters
-from lowpansim.sim_core import Medium, Simulator
+from lowpansim.sim_core import Medium, RxState, Simulator
 
 
 def test_empty_simulation_stays_at_zero():
@@ -158,10 +160,6 @@ class _StubMac:
         self.rx_held = False
         self.counters = NodeCounters()
 
-    def frame_received(self):
-        # Instant handover: the buffer frees as soon as reception ends.
-        self.current_rx = None
-
 
 def _stub(node_id):
     return _StubMac(node_id)
@@ -181,19 +179,27 @@ class _Frame:
         self.dst = dst
 
 
+def _intact(opened, dest, frame):
+    """Whether begin_tx opened an intact reception of `frame` at `dest`,
+    which is then the destination's current one."""
+    if opened is None:
+        return False
+    mac, rx = opened
+    assert mac is dest and dest.current_rx is rx and rx.frame is frame
+    return not rx.destroyed
+
+
 def test_perfect_link_delivers():
     sim, medium, a, b = _mk_medium(pdr=1.0)
     f = _Frame(1, 2)
-    medium.begin_tx(a, f, 0, 100)
-    assert medium.finish_tx(a, f)[0] is True
+    assert _intact(medium.begin_tx(a, f, 0, 100), b, f) is True
     assert b.rx_busy_until == 100
 
 
 def test_zero_pdr_never_delivers():
     sim, medium, a, b = _mk_medium(pdr=0.0)
     f = _Frame(1, 2)
-    medium.begin_tx(a, f, 0, 100)
-    assert medium.finish_tx(a, f)[0] is False
+    assert medium.begin_tx(a, f, 0, 100) is None
     assert a.counters.channel_losses == 1
     # The frame was undecodable but the carrier still occupies the receiver.
     assert b.rx_busy_until == 100
@@ -203,8 +209,7 @@ def test_busy_receiver_loses_frame():
     sim, medium, a, b = _mk_medium()
     b.tx_until = 50  # destination transmitting until t=50
     f = _Frame(1, 2)
-    medium.begin_tx(a, f, 10, 110)
-    assert medium.finish_tx(a, f)[0] is False
+    assert medium.begin_tx(a, f, 10, 110) is None
     assert b.counters.busy_losses == 1
 
 
@@ -216,20 +221,32 @@ def test_overlapping_transmissions_destroy_both():
     medium.add_link(b, c, 1.0)
     f1 = _Frame(1, 3)
     f2 = _Frame(2, 3)
-    medium.begin_tx(a, f1, 0, 100)
-    medium.begin_tx(b, f2, 40, 140)   # overlaps at receiver c
-    assert medium.finish_tx(a, f1)[0] is False   # destroyed mid-reception
-    assert medium.finish_tx(b, f2)[0] is False   # receiver already busy
+    opened = medium.begin_tx(a, f1, 0, 100)
+    assert medium.begin_tx(b, f2, 40, 140) is None   # receiver already busy
+    assert opened[1].destroyed is True              # destroyed mid-reception
     assert c.counters.collisions >= 1
+
+
+def test_destroyed_reception_counts_a_collision_when_it_closes():
+    # The receiving MAC closes the reception the medium opened there: a
+    # destroyed one frees the buffer at once, counts a collision and
+    # reports the frame lost.
+    sim = Simulator(seed=7)
+    mac = Mac(3, sim, Medium(sim), MacParams(), NodeCounters(),
+              PacketArena(None), on_deliver=None, on_frame_done=None)
+    rx = mac.current_rx = RxState(_Frame(1, 3))
+    rx.destroyed = True
+    assert mac.reception_ended(rx) is False
+    assert mac.current_rx is None and not mac.rx_held
+    assert mac.counters.collisions == 1
 
 
 def test_back_to_back_transmissions_do_not_collide():
     sim, medium, a, b = _mk_medium()
     f1, f2 = _Frame(1, 2), _Frame(1, 2)
-    medium.begin_tx(a, f1, 0, 100)
-    assert medium.finish_tx(a, f1)[0] is True
-    medium.begin_tx(a, f2, 100, 200)  # starts exactly at the previous end
-    assert medium.finish_tx(a, f2)[0] is True
+    assert _intact(medium.begin_tx(a, f1, 0, 100), b, f1) is True
+    b.current_rx = None               # closed by b's MAC at t=100
+    assert _intact(medium.begin_tx(a, f2, 100, 200), b, f2) is True
 
 
 def test_link_pdr_monte_carlo():
@@ -239,8 +256,8 @@ def test_link_pdr_monte_carlo():
     t = 0
     for _ in range(n):
         f = _Frame(1, 2)
-        medium.begin_tx(a, f, t, t + 10)
-        if medium.finish_tx(a, f)[0]:
+        if _intact(medium.begin_tx(a, f, t, t + 10), b, f):
             delivered += 1
+        b.current_rx = None
         t += 20
     assert abs(delivered / n - 0.975) < 0.01
