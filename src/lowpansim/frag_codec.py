@@ -10,20 +10,22 @@ are this wire format, checked by acceptance criterion a01.
 
 Datagram model: an IPv6 datagram whose first HEADER_REGION (40) bytes are the
 IPv6 header.  Header compression replaces exactly that region on the wire
-with an opaque compressed header of CompressionHeader.size_bytes; everything
-after it travels verbatim.  A Fragment's `payload` is the slice of the
-*uncompressed* datagram it covers (the first fragment's payload therefore
-starts with the 40-byte header region); `comp_size` is the on-wire size of
-the compressed header when present.  With the default link SDU of 104 bytes
-(127-byte frame minus 23 bytes of link-layer overhead) a FRAGN carries up to
-96 payload bytes and a fill-first FRAG1 covers 112 (40 + 72).
+with an opaque compressed header of `comp` bytes, an int that is the same
+for every node of a run; everything after it travels verbatim.  A Fragment's
+`payload` is the slice of the *uncompressed* datagram it covers (the first
+fragment's payload therefore starts with the 40-byte header region);
+`comp_size` is the on-wire size of the compressed header when present.  With
+the default link SDU of 104 bytes (127-byte frame minus 23 bytes of
+link-layer overhead) a FRAGN carries up to 96 payload bytes and a fill-first
+FRAG1 covers 112 (40 + 72).
 
 Two fragmentation policies:
 
 - fill_first:    the first fragment carries as much payload as fits.
 - minimal_first: the first fragment carries only the FRAG1 header and the
-  compressed header, so a forwarder can swap in a larger compressed header
-  without re-fragmenting.
+  compressed header.  RFC 8930 chooses it so that a forwarder could swap in
+  a larger compressed header without re-fragmenting; here every node has
+  the same header size, so a forwarder only retags the first fragment.
 """
 
 from collections import namedtuple
@@ -74,18 +76,6 @@ class FragNHeader(NamedTuple):
     datagram_size: int
     datagram_tag: int
     offset_units: int
-
-
-class CompressionHeader(namedtuple("CompressionHeader", "size_bytes")):
-    """Opaque stand-in for a compressed IPv6 header; only its size matters."""
-
-    __slots__ = ()
-
-    def __new__(cls, size_bytes):
-        if not 0 <= size_bytes <= MAX_COMP_HEADER:
-            raise ValueError("compression header size out of range: %d"
-                             % size_bytes)
-        return tuple.__new__(cls, (size_bytes,))
 
 
 class Fragment(namedtuple("Fragment",
@@ -184,11 +174,11 @@ def _floor8(n):
 
 def _first_coverage(size, comp, sdu, policy):
     """Uncompressed bytes covered by the first fragment, or -1 if one frame."""
-    if comp.size_bytes + (size - HEADER_REGION) <= sdu:
+    if comp + (size - HEADER_REGION) <= sdu:
         return -1
     if policy == "minimal_first":
         return HEADER_REGION
-    data = _floor8(sdu - FRAG1_HEADER_LEN - comp.size_bytes)
+    data = _floor8(sdu - FRAG1_HEADER_LEN - comp)
     return HEADER_REGION + max(data, 0)
 
 
@@ -200,9 +190,12 @@ def _validate(size, comp, sdu, policy):
     if size < HEADER_REGION:
         raise FragmentationError("datagram shorter than its header region: %d"
                                  % size)
+    if not 0 <= comp <= MAX_COMP_HEADER:
+        raise FragmentationError("compression header size out of range: %d"
+                                 % comp)
     if sdu < FRAGN_HEADER_LEN + 8:
         raise FragmentationError("sdu too small to carry fragments: %d" % sdu)
-    if FRAG1_HEADER_LEN + comp.size_bytes > sdu:
+    if FRAG1_HEADER_LEN + comp > sdu:
         raise FragmentationError("compressed header does not fit the sdu")
 
 
@@ -217,43 +210,23 @@ def fragment_datagram(datagram, comp, tag, sdu, policy):
     _validate(size, comp, sdu, policy)
     first = _first_coverage(size, comp, sdu, policy)
     if first < 0:
-        return [Fragment(None, datagram, comp.size_bytes)]
-    frags = [Fragment(Frag1Header(size, tag), datagram[:first],
-                      comp.size_bytes)]
+        return [Fragment(None, datagram, comp)]
+    frags = [Fragment(Frag1Header(size, tag), datagram[:first], comp)]
     capacity = _floor8(sdu - FRAGN_HEADER_LEN)
     pos = first
     while pos < size:
         take = min(capacity, size - pos)
-        if pos // 8 > MAX_OFFSET_UNITS:
-            raise FragmentationError("datagram too large for the offset field")
         frags.append(Fragment(FragNHeader(size, tag, pos // 8),
                               datagram[pos:pos + take]))
         pos += take
     return frags
 
 
-def refragment_first(first_frag, new_comp, sdu, tag):
-    """Fit a first fragment under a changed compressed-header size, as a
-    forwarder sends it on under its own datagram tag.
+def refragment_first(first_frag, tag):
+    """A first fragment as a forwarder sends it on: under its own `tag`.
 
-    Returns [fragment] when the new header still fits, else splits the
-    coverage into a FRAG1 plus one FRAGN, both with the original datagram
-    size and with `tag`.
+    The compressed-header size is one for the whole run, so the fragment
+    fits the next hop as it fit this one and is never split.
     """
-    header = first_frag.header
-    if not isinstance(header, Frag1Header):
-        raise FragmentationError("not a first fragment: %r" % (header,))
-    first = Frag1Header(header.datagram_size, tag)
-    data_len = len(first_frag.payload) - HEADER_REGION
-    if FRAG1_HEADER_LEN + new_comp.size_bytes + data_len <= sdu:
-        return [Fragment(first, first_frag.payload, new_comp.size_bytes)]
-    keep = _floor8(sdu - FRAG1_HEADER_LEN - new_comp.size_bytes)
-    if keep < 0:
-        raise FragmentationError("compressed header does not fit the sdu")
-    split = HEADER_REGION + keep
-    return [
-        Fragment(first, first_frag.payload[:split], new_comp.size_bytes),
-        Fragment(FragNHeader(header.datagram_size, tag, split // 8),
-                 first_frag.payload[split:]),
-    ]
-
+    return [Fragment(Frag1Header(first_frag.header.datagram_size, tag),
+                     first_frag.payload, first_frag.comp_size)]

@@ -18,7 +18,7 @@ from collections import Counter, namedtuple
 from itertools import repeat
 from pathlib import Path
 
-from .frag_codec import CompressionHeader, fragment_count
+from .frag_codec import fragment_count
 from .link_mac import MacParams
 from .metrics import COUNTER_FIELDS
 from .node_stack import (HEADER_BYTES, STRATEGIES, Node, NodeConfig,
@@ -185,8 +185,7 @@ class Scenario(namedtuple("Scenario", [key for key, _, _ in _FIELDS],
 
 def _frag_count(scenario, payload):
     return fragment_count(payload + HEADER_BYTES,
-                          CompressionHeader(scenario.stack.comp_header_bytes),
-                          scenario.mac.sdu,
+                          scenario.stack.comp_header_bytes, scenario.mac.sdu,
                           STRATEGIES[scenario.strategy].policy)
 
 
@@ -208,6 +207,8 @@ def scenario_from_dict(cfg, base_dir=Path(".")):
             raise ScenarioError("scenario is missing %r" % key)
     scenario = Scenario(base_dir=Path(base_dir), **values)
 
+    if scenario.mac.max_be > 8:          # IEEE 802.15.4's macMaxBE range
+        raise ScenarioError("mac.max_be must not exceed 8")
     if scenario.mac.min_be > scenario.mac.max_be:
         raise ScenarioError("mac.min_be must not exceed mac.max_be")
     try:
@@ -226,7 +227,7 @@ def load_scenario(path):
     path = Path(path)
     try:
         cfg = json.loads(path.read_text())
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise ScenarioError("cannot read scenario %s: %s" % (path, err))
     return scenario_from_dict(cfg, base_dir=path.parent)
 
@@ -260,7 +261,7 @@ def scenario_fingerprint(scenario, topology_sha256):
 
 def frag_table_check():
     """Recompute the payload -> fragment count mapping; report mismatches."""
-    comp = CompressionHeader(StackParams().comp_header_bytes)
+    comp = StackParams().comp_header_bytes
     sdu = MacParams().sdu
     rows, mismatches = [], []
     for payload, expected in FRAG_COUNT_TABLE:

@@ -31,8 +31,8 @@ except ImportError:                         # built without them
     from hashlib import sha256, shake_256
 
 from .buffers import DatagramKey, PacketArena, ReassemblyBuffer
-from .frag_codec import (CompressionHeader, Frag1Header, FragNHeader,
-                         Fragment, fragment_datagram, refragment_first)
+from .frag_codec import (Frag1Header, FragNHeader, Fragment,
+                         fragment_datagram, refragment_first)
 from .link_mac import Frame, Mac
 from .metrics import NodeCounters
 from .vrb import TagAllocator, VrbTable
@@ -93,7 +93,7 @@ class Node:
         self.mac = Mac(config.id, sim, medium, mac_params, self.counters,
                        self.arena, self._on_deliver, self._on_frame_done)
         self.sdu = mac_params.sdu
-        self.comp = CompressionHeader(self.stack.comp_header_bytes)
+        self.comp = stack.comp_header_bytes
         self.strategy = STRATEGIES[config.strategy]
         self.tags = TagAllocator()
         self.rbuf = ReassemblyBuffer(sim, config.rbuf_entries,
@@ -194,7 +194,7 @@ class Node:
             self._reassemble_step(key, frag, dgram_id, now)
             return
         entry.covered_bytes = len(frag.payload)
-        outs = refragment_first(frag, self.comp, self.sdu, entry.out_tag)
+        outs = refragment_first(frag, entry.out_tag)
         if not self.strategy.queue:
             self.counters.datagrams_forwarded += 1
         self._vrb_emit(entry, outs, dgram_id)

@@ -13,8 +13,7 @@ from lowpansim.buffers import (
     ReassemblyBuffer,
     mem_usage,
 )
-from lowpansim.frag_codec import (MAX_DATAGRAM, POLICIES, CompressionHeader,
-                                  fragment_datagram, refragment_first)
+from lowpansim.frag_codec import MAX_DATAGRAM, POLICIES, fragment_datagram
 from lowpansim.link_mac import Frame
 from lowpansim.metrics import NodeCounters
 from lowpansim.sim_core import Simulator
@@ -234,16 +233,12 @@ def test_one_expiry_event_serves_entries_in_deadline_order():
 @st.composite
 def _arrivals(draw):
     """One datagram and fragments covering it, as (offset, bytes) in
-    arrival order: a fragmentation under either policy, its first fragment
-    possibly split by a grown compressed header, plus stray copies of
-    random spans, some overlapping fragment boundaries."""
+    arrival order: a fragmentation under either policy, plus stray copies
+    of random spans, some overlapping fragment boundaries."""
     size = draw(st.integers(145, MAX_DATAGRAM))    # too big for one frame
     datagram = random.Random(draw(st.integers(0, 2 ** 32))).randbytes(size)
-    frags = fragment_datagram(datagram, CompressionHeader(draw(
-        st.integers(0, 40))), 0, 104, draw(st.sampled_from(POLICIES)))
-    if draw(st.booleans()):
-        grown = CompressionHeader(draw(st.integers(0, 40)))
-        frags[:1] = refragment_first(frags[0], grown, 104, 0)
+    frags = fragment_datagram(datagram, draw(st.integers(0, 40)), 0, 104,
+                              draw(st.sampled_from(POLICIES)))
     pieces = [(f.offset, f.payload) for f in frags]
     for _ in range(draw(st.integers(0, 6))):
         start = draw(st.integers(0, size - 1))

@@ -195,6 +195,23 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and "negative node id -1" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    # Backoff exponents above IEEE 802.15.4's bound of 8, which once ran and
+    # wrote latencies past 2**63 us (at 1100, a run with several latencies
+    # died in an OverflowError), and a file nested too deeply for the JSON
+    # decoder, which once raised RecursionError.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000)
+    for mac in ({"min_be": 64, "max_be": 64},
+                {"min_be": 1100, "max_be": 1100}, None):
+        scn = deep if mac is None else write_scenario(
+            tmp_path, line_topology(3), payloads=[16], packets_per_source=1,
+            mac=mac)
+        assert main(["run", "--scenario", str(scn),
+                     "--out", str(tmp_path / "o")]) == 2, mac
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
     # A worker count that is not a positive integer is a usage error.
     scn = write_scenario(tmp_path, line_topology(3))
     for jobs in ("0", "-1", "x"):

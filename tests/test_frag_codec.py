@@ -11,7 +11,6 @@ from lowpansim.frag_codec import (
     FRAGN_HEADER_LEN,
     FRAG1_HEADER_LEN,
     HEADER_REGION,
-    CompressionHeader,
     DecodeError,
     EncodeError,
     Frag1Header,
@@ -75,10 +74,11 @@ def test_encode_range_errors():
 
 
 def test_compression_header_size_is_range_checked():
-    assert [CompressionHeader(n).size_bytes for n in (0, 40)] == [0, 40]
-    for size in (-1, 41):
-        with pytest.raises(ValueError):
-            CompressionHeader(size)
+    for comp in (0, 40):
+        assert fragment_datagram(bytes(200), comp, 1, 104, "fill_first")
+    for comp in (-1, 41):
+        with pytest.raises(FragmentationError):
+            fragment_datagram(bytes(200), comp, 1, 104, "fill_first")
 
 
 # --- header decode ---------------------------------------------------------
@@ -117,7 +117,7 @@ def test_decode_ignores_trailing_payload():
 # --- fragment_datagram -----------------------------------------------------
 
 SDU = 104          # 127-byte frame minus 23 bytes of L2 overhead
-COMP = CompressionHeader(24)
+COMP = 24
 
 
 def _datagram(n):
@@ -268,79 +268,15 @@ def test_fragmentation_errors():
 
 # --- refragment_first ------------------------------------------------------
 
-def _first_fragment(dg, policy, comp=COMP, sdu=SDU):
-    return fragment_datagram(dg, comp, tag=7, sdu=sdu, policy=policy)[0]
-
-
-def test_refragment_identity_when_header_shrinks_or_fits():
+def test_refragment_retags_the_first_fragment():
+    # A forwarder sends a first fragment on unchanged but for its own out
+    # tag; content_len is that of a fragment built afresh.
     dg = _datagram(1280)
-    first = _first_fragment(dg, "fill_first")
-    for new_size in (16, 24):
-        out = refragment_first(first, CompressionHeader(new_size), SDU,
-                               first.header.datagram_tag)
-        assert len(out) == 1
-        assert out[0].payload == first.payload
-        assert out[0].comp_size == new_size
-        assert out[0].header == first.header
-
-
-def test_refragment_split_on_growth():
-    dg = _datagram(1280)
-    first = _first_fragment(dg, "fill_first")  # covers 40 + 72 bytes
-    grown = CompressionHeader(40)
-    out = refragment_first(first, grown, SDU, first.header.datagram_tag)
-    assert len(out) == 2
-    assert isinstance(out[0].header, Frag1Header)
-    assert isinstance(out[1].header, FragNHeader)
-    assert out[0].header.datagram_size == 1280
-    assert out[1].header.datagram_size == 1280
-    assert out[1].header.datagram_tag == first.header.datagram_tag
-    # Concatenated coverage is unchanged.
-    assert out[0].payload + out[1].payload == first.payload
-    assert out[1].header.offset_units * 8 == len(out[0].payload)
-    assert len(out[0].payload) % 8 == 0
-    # Both outputs fit the SDU: 4 + 40 + data <= 104.
-    assert 4 + 40 + (len(out[0].payload) - HEADER_REGION) <= SDU
-
-
-def test_refragment_minimal_first_is_identity_for_any_growth():
-    # A minimal first fragment carries no data, so any compression header up
-    # to the 40-byte maximum still fits a 104-byte SDU.
-    dg = _datagram(1280)
-    first = _first_fragment(dg, "minimal_first")
-    for new_size in range(0, 41):
-        out = refragment_first(first, CompressionHeader(new_size), SDU,
-                               first.header.datagram_tag)
-        assert len(out) == 1
-        assert out[0].payload == first.payload
-
-
-def test_refragment_roundtrip_over_growth_sweep():
-    dg = _datagram(512)
     for policy in ("minimal_first", "fill_first"):
-        frags = fragment_datagram(dg, COMP, tag=4, sdu=SDU, policy=policy)
-        for new_size in range(0, 41):
-            out = refragment_first(frags[0], CompressionHeader(new_size), SDU,
-                                   4)
-            assert reassemble(list(out) + frags[1:]) == dg
-
-
-def test_refragment_rejects_non_first_fragment():
-    dg = _datagram(512)
-    frags = fragment_datagram(dg, COMP, tag=4, sdu=SDU, policy="fill_first")
-    with pytest.raises(FragmentationError):
-        refragment_first(frags[1], COMP, SDU, 4)
-
-
-def test_refragment_builds_every_output_under_the_given_tag():
-    # A forwarder sends the first fragment on under its own out tag, the
-    # split FRAGN included; size, coverage and content_len are those of
-    # fragments built afresh.
-    first = _first_fragment(_datagram(1280), "fill_first")
-    for new_size in (24, 40):                # fits, then splits
-        out = refragment_first(first, CompressionHeader(new_size), SDU, 9)
-        assert {f.header.datagram_tag for f in out} == {9}
-        assert {f.header.datagram_size for f in out} == {1280}
-        assert b"".join(f.payload for f in out) == first.payload
-        for f in out:
-            assert f == Fragment(f.header, f.payload, f.comp_size)
+        first = fragment_datagram(dg, COMP, tag=7, sdu=SDU, policy=policy)[0]
+        [out] = refragment_first(first, 9)
+        assert out.header == Frag1Header(1280, 9)
+        assert out.payload == first.payload
+        assert out.comp_size == first.comp_size == 24
+        assert out.content_len == first.content_len
+        assert out == Fragment(Frag1Header(1280, 9), first.payload, 24)

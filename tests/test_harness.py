@@ -94,6 +94,8 @@ def test_scenario_validation(tmp_path):
         {"check_paths": "no"},
         {"mac": {"min_be": "3"}},
         {"mac": {"min_be": 3, "max_be": 1}},
+        {"mac": {"max_be": 9}},
+        {"mac": {"min_be": 64, "max_be": 64}},
         {"mac": {"l2_overhead": 200}},
         {"mac": {"queue_retry_us": 0}},
         {"stack": {"proc_delay_us": -5}},

@@ -6,10 +6,12 @@ node sits at the origin, so any link is in range; each route edge has a
 link and a few extra links add interference, each with a PDR in [0.5, 1].
 A run must report no violation, and the drain checks at its end are
 violations too.  While it runs, a MAC never starts a frame while another
-is in flight, and a node never hands out a live datagram tag or frees one
-that is not live.  Under the lossless oracle's settings every datagram
-arrives.  A run that keeps scheduling events at one instant fails instead
-of hanging, so hypothesis can shrink a livelock to a small network.
+is in flight, a node never hands out a live datagram tag or frees one
+that is not live, and a forwarder retags only first fragments that carry
+exactly the 40-byte header region.  Under the lossless oracle's settings
+every datagram arrives.  A run that keeps scheduling events at one instant
+fails instead of hanging, so hypothesis can shrink a livelock to a small
+network.
 
 Two held-out 50-member networks, generated from other synthetic floor
 plans, must come out byte-identical on every generation and run clean
@@ -23,7 +25,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lowpansim import node_stack
 from lowpansim.cli import main
+from lowpansim.frag_codec import HEADER_REGION, Frag1Header
 from lowpansim.harness import (STUDY_PAYLOADS, UNBOUNDED_ENTRIES, _simulate,
                                scenario_from_dict)
 from lowpansim.link_mac import Mac
@@ -105,10 +109,11 @@ def lossless_scenarios(draw):
 
 @contextmanager
 def checked_invariants():
-    """Wrap the MAC and the tag allocator so that a broken invariant
-    raises out of the simulation."""
+    """Wrap the MAC, the tag allocator and the forwarder's retag so that
+    a broken invariant raises out of the simulation."""
     start_job, acquire, release = (Mac._start_job, TagAllocator.acquire,
                                    TagAllocator.release)
+    refragment_first = node_stack.refragment_first
 
     def checked_start_job(mac, frame):
         assert mac.current is None, "node %d: two frames in flight" % (
@@ -125,9 +130,16 @@ def checked_invariants():
         assert tag in tags.live, "tag %d released but not live" % tag
         release(tags, tag)
 
+    def checked_refragment_first(first_frag, tag):
+        assert isinstance(first_frag.header, Frag1Header), first_frag
+        assert len(first_frag.payload) == HEADER_REGION, first_frag
+        return refragment_first(first_frag, tag)
+
     with mock.patch.object(Mac, "_start_job", checked_start_job), \
             mock.patch.object(TagAllocator, "acquire", checked_acquire), \
-            mock.patch.object(TagAllocator, "release", checked_release):
+            mock.patch.object(TagAllocator, "release", checked_release), \
+            mock.patch.object(node_stack, "refragment_first",
+                              checked_refragment_first):
         yield
 
 

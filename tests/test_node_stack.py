@@ -5,8 +5,8 @@ from functools import partial
 
 import pytest
 
-from lowpansim.frag_codec import (CompressionHeader, Frag1Header, FragNHeader,
-                                  Fragment, fragment_datagram)
+from lowpansim.frag_codec import (Frag1Header, FragNHeader, Fragment,
+                                  fragment_datagram)
 from lowpansim.harness import UNBOUNDED_ENTRIES
 from lowpansim.link_mac import CCA_DUR_US, Frame, MacParams, airtime_us
 from lowpansim.node_stack import Node, NodeConfig, StackParams, build_datagram
@@ -205,8 +205,7 @@ def inject(line, frags, order, times, dgram_id=42):
 
 def source_frags(payload=272, dgram_id=42):
     datagram = build_datagram(0, dgram_id, payload)
-    return fragment_datagram(datagram, CompressionHeader(24), 7, 104,
-                             "minimal_first"), datagram
+    return fragment_datagram(datagram, 24, 7, 104, "minimal_first"), datagram
 
 
 def test_ff_missing_first_fragment_times_out_flagged():
@@ -248,13 +247,10 @@ def test_ff_duplicate_first_fragment_ignored():
 
 
 def test_ff_tag_rewrite_keeps_content_len_of_fresh_fragments():
-    # A forwarder with a grown compressed header splits an arriving
-    # fill-first FRAG1 and builds both parts under its own tag, each with
-    # the content_len of a freshly built fragment.
-    line = Line(3, "FF", stack=StackParams(comp_header_bytes=40))
-    datagram = build_datagram(0, 42, 272)
-    frags = fragment_datagram(datagram, CompressionHeader(24), 7, 104,
-                              "fill_first")
+    # A forwarder sends each fragment of a minimal-first train on under its
+    # own tag, each with the content_len of a freshly built fragment.
+    line = Line(3, "FF")
+    frags, datagram = source_frags()
     sent = []
     sink_mac = line.nodes[2].mac
     inner = sink_mac.on_deliver
@@ -266,8 +262,9 @@ def test_ff_tag_rewrite_keeps_content_len_of_fresh_fragments():
     inject(line, frags, range(len(frags)), range(0, 30000, 6000))
     line.run()
     assert [g[:2] for g in line.got] == [(42, datagram)]
-    assert [type(f.header) for f in sent[:2]] == [Frag1Header, FragNHeader]
-    assert len(sent) == len(frags) + 1
+    assert len(sent) == len(frags)
+    assert [type(f.header) for f in sent] == (
+        [Frag1Header] + [FragNHeader] * (len(frags) - 1))
     assert {f.header.datagram_tag for f in sent} == {0}   # forwarder's tag
     for f in sent:
         assert f.content_len == Fragment(f.header, f.payload,
