@@ -7,8 +7,7 @@ Two memory-accounting models for reassembly storage:
   size, 2 bytes tag, and 1280 bytes of data = 1302 bytes per entry.
 - arena: entries keep a 22-byte static descriptor and place datagram bytes
   in a shared arena (packet buffer) as fragments arrive, so cost follows
-  actual occupancy.  A byte mask beside each entry's data marks what has
-  arrived: the first copy of a byte wins and is the only one charged.
+  actual occupancy.
 
 The arena is also charged by the MAC for queued frames and by the VRB
 table for fragments parked in its entries; `mem_usage` only folds entry
@@ -64,9 +63,9 @@ class PacketArena:
 
 
 class _Entry:
-    """A datagram in reassembly: covered[i] is 1 once data[i] arrived."""
+    """A datagram in reassembly."""
 
-    __slots__ = ("key", "dgram_id", "deadline", "data", "covered",
+    __slots__ = ("key", "dgram_id", "deadline", "data", "has_first",
                  "held_bytes")
 
     def __init__(self, key, dgram_id, deadline):
@@ -74,8 +73,8 @@ class _Entry:
         self.dgram_id = dgram_id
         self.deadline = deadline
         self.data = bytearray(key.datagram_size)
-        self.covered = bytearray(key.datagram_size)
-        self.held_bytes = 0      # bytes arrived, each charged once
+        self.has_first = False   # the fragment at offset 0 arrived
+        self.held_bytes = 0      # bytes arrived, all charged to the arena
 
 
 class DeadlineTable:
@@ -137,12 +136,17 @@ class DeadlineTable:
 
 
 class ReassemblyBuffer(DeadlineTable):
-    """Per-node fragment reassembly with timeout and arena accounting."""
+    """Per-node fragment reassembly with timeout and arena accounting.
+
+    Each fragment of a key arrives at most once, so an entry is complete
+    when it holds datagram_size bytes.  Two datagrams share a key only if
+    their upstream node issued 65,536 tags while the entry was live; they
+    then mix, and the sink reports the datagram "corrupted in transit"."""
 
     def _expire(self, entry, now):
         self.remove(entry)
         self.counters.rbuf_timeout += 1
-        if not entry.covered[0]:
+        if not entry.has_first:
             self.counters.rbuf_timeout_no_first += 1
         self.on_drop(entry.dgram_id, "rbuf_timeout", now)
 
@@ -157,28 +161,16 @@ class ReassemblyBuffer(DeadlineTable):
                 return None
             entry = _Entry(key, dgram_id, now + self.lifetime_us)
             self.entries[key] = entry
-        end = offset + len(payload)
-        covered = entry.covered
-        seen = covered.count(1, offset, end)
-        if seen:
-            self.counters.duplicate_fragments += 1
-        new_bytes = len(payload) - seen
-        if new_bytes:
-            if not self.arena.alloc(new_bytes):
-                self.remove(entry)
-                self.counters.pktbuf_full += 1
-                self.on_drop(entry.dgram_id, "pktbuf_full", now)
-                return None
-            if seen:                     # first write wins
-                for i in range(offset, end):
-                    if not covered[i]:
-                        entry.data[i] = payload[i - offset]
-                        covered[i] = 1
-            else:
-                entry.data[offset:end] = payload
-                covered[offset:end] = b"\x01" * len(payload)
-            entry.held_bytes += new_bytes
-        if entry.held_bytes == key.datagram_size:
+        n = len(payload)
+        if not self.arena.alloc(n):
+            self.remove(entry)
+            self.counters.pktbuf_full += 1
+            self.on_drop(entry.dgram_id, "pktbuf_full", now)
+            return None
+        entry.data[offset:offset + n] = payload
+        entry.held_bytes += n
+        entry.has_first |= offset == 0
+        if entry.held_bytes >= key.datagram_size:
             self.remove(entry)
             return bytes(entry.data)
         self._arm()

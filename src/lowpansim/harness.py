@@ -51,14 +51,16 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int(lo, null=_NO_NULL):
-    """An integer >= lo; JSON null maps to `null` when one is given."""
-    what = "an integer >= %d%s" % (lo, "" if null is _NO_NULL else " or null")
+def _int(lo, null=_NO_NULL, hi=math.inf):
+    """An integer in [lo, hi]; JSON null maps to `null` when one is given."""
+    what = "an integer >= %d%s%s" % (
+        lo, "" if hi == math.inf else " and <= %d" % hi,
+        "" if null is _NO_NULL else " or null")
 
     def check(name, value):
         if value is None and null is not _NO_NULL:
             return null
-        if not _is_int(value) or value < lo:
+        if not _is_int(value) or not lo <= value <= hi:
             raise ScenarioError("%s must be %s" % (name, what))
         return value
     return check
@@ -132,6 +134,10 @@ def _params(cls, **checks):
 
 
 _ENTRIES = _int(1, null=UNBOUNDED_ENTRIES)
+# A wait of at most 2**32 us (about 72 minutes) keeps a latency below the
+# 2**63 us that a run file holds, unless 2**31 waits follow one another.
+MAX_WAIT_US = 1 << 32
+_WAIT = _int(0, hi=MAX_WAIT_US)
 
 
 _REQUIRED = object()        # a default saying the scenario file must give it
@@ -156,15 +162,14 @@ _SCHEMA = (
     # conservation oracle needs: hidden senders on a loss-free channel can
     # otherwise phase-lock and collide indefinitely.
     ("serialize_sends", _flag, False),
-    ("mac", _params(
+    ("mac", _params(        # max_be: IEEE 802.15.4's macMaxBE range
         MacParams, max_retransmissions=_int(0), min_be=_int(0),
-        max_be=_int(0), max_csma_backoffs=_int(0), ack_timeout_us=_int(0),
-        queue_retry_us=_int(1), queue_capacity=_int(0, null=None),
-        l2_overhead=_int(0), rx_handover_us=_int(0)), MacParams()),
+        max_be=_int(0, hi=8), max_csma_backoffs=_int(0), ack_timeout_us=_WAIT,
+        queue_retry_us=_int(1, hi=MAX_WAIT_US), rx_handover_us=_WAIT,
+        queue_capacity=_int(0, null=None), l2_overhead=_int(0)), MacParams()),
     ("stack", _params(
-        StackParams, comp_header_bytes=_int(0),
-        reassembly_timeout_us=_int(0), vrb_lifetime_us=_int(0),
-        proc_delay_us=_int(0),
+        StackParams, comp_header_bytes=_int(0), reassembly_timeout_us=_WAIT,
+        vrb_lifetime_us=_WAIT, proc_delay_us=_WAIT,
         frag_buffer_slots=_int(0, null=UNBOUNDED_ENTRIES),
         arena_bytes=_int(0, null=None)), StackParams()),
 )
@@ -207,8 +212,6 @@ def scenario_from_dict(cfg, base_dir=Path(".")):
             raise ScenarioError("scenario is missing %r" % key)
     scenario = Scenario(base_dir=Path(base_dir), **values)
 
-    if scenario.mac.max_be > 8:          # IEEE 802.15.4's macMaxBE range
-        raise ScenarioError("mac.max_be must not exceed 8")
     if scenario.mac.min_be > scenario.mac.max_be:
         raise ScenarioError("mac.min_be must not exceed mac.max_be")
     try:

@@ -5,9 +5,9 @@ Strategies:
 - HWR: every forwarder reassembles the whole datagram, then re-fragments it
   toward the next hop under a fresh tag (fill_first fragmentation).
 - FF: fragments pass one by one through a virtual reassembly buffer entry
-  created when the first fragment arrives in order; fragments that find no
-  entry fall back to HWR-style reassembly for that datagram (FF nodes
-  fragment minimal_first).
+  created when the first fragment arrives; fragments that find no entry
+  fall back to HWR-style reassembly for that datagram (FF nodes fragment
+  minimal_first).
 - FF_QUEUED: like FF, but rewritten fragments wait in the entry's queue and
   leave as one in-order burst once the whole datagram has passed.
 
@@ -183,45 +183,37 @@ class Node:
     # -- fragment forwarding ---------------------------------------------
 
     def _ff_first(self, key, frag, dgram_id, now):
-        if key in self.rbuf.entries:     # already fell back for this datagram
-            self._reassemble_step(key, frag, dgram_id, now)
-            return
-        if self.vrb.lookup(key) is not None:
-            self.counters.duplicate_fragments += 1
-            return
         entry = self.vrb.create(key, now, dgram_id)
         if entry is None:                # table full: reassemble instead
             self._reassemble_step(key, frag, dgram_id, now)
             return
         entry.covered_bytes = len(frag.payload)
-        outs = refragment_first(frag, entry.out_tag)
+        out, = refragment_first(frag, entry.out_tag)
         if not self.strategy.queue:
             self.counters.datagrams_forwarded += 1
-        self._vrb_emit(entry, outs, dgram_id)
+        self._vrb_emit(entry, out, dgram_id)
 
     def _ff_rest(self, key, frag, dgram_id, now):
         entry = self.vrb.lookup(key)
-        if entry is None:                # first fragment missing or unordered
+        if entry is None:                # no VRB entry: reassemble instead
             self._reassemble_step(key, frag, dgram_id, now)
             return
         header = frag.header
         out = Fragment(FragNHeader(header.datagram_size, entry.out_tag,
                                    header.offset_units), frag.payload)
         entry.covered_bytes += len(frag.payload)
-        if self._vrb_emit(entry, [out], dgram_id):
+        if self._vrb_emit(entry, out, dgram_id):
             if entry.covered_bytes >= key.datagram_size:
                 self._vrb_flush(entry)
 
-    def _vrb_emit(self, entry, frags, dgram_id):
+    def _vrb_emit(self, entry, frag, dgram_id):
         """Send right away (FF) or park in the entry queue (FF_QUEUED)."""
-        me, next_hop = self.config.id, self.config.route_next_hop
-        frames = [Frame(me, next_hop, f, dgram_id, None) for f in frags]
+        frame = Frame(self.config.id, self.config.route_next_hop, frag,
+                      dgram_id, None)
         if not self.strategy.queue:
-            for fr in frames:
-                self.mac.send(fr)
+            self.mac.send(frame)
             return True
-        return all(self.vrb.enqueue(entry, fr, self.mac.wire_size(fr))
-                   for fr in frames)
+        return self.vrb.enqueue(entry, frame, self.mac.wire_size(frame))
 
     def _vrb_flush(self, entry):
         """The datagram has fully passed; release (and drain) the entry."""

@@ -2,12 +2,11 @@
 
 A VRB entry maps an incoming (link source, size, tag), its key, to the
 node's out_tag: fragments arriving for the key are rewritten to it and
-passed on to the route's next hop without reassembly.  Entries are created
-only when the first fragment arrives before any other fragment of its
-datagram (in-order condition); they live for `vrb_lifetime_us`, are never
-refreshed, and expire only through the table's own expiry event.  The
-queued forwarding variant parks rewritten fragments in `queued` until the
-whole datagram has passed.
+passed on to the route's next hop without reassembly.  An entry is created
+when a first fragment arrives, which precedes the rest of its datagram;
+entries live for `vrb_lifetime_us`, are never refreshed, and expire only
+through the table's own expiry event.  The queued forwarding variant parks
+rewritten fragments in `queued` until the whole datagram has passed.
 
 A node sends only to its route's next hop, so its VRB entries and its own
 fragmentation jobs draw from one 16-bit tag sequence (RFC 4944), which

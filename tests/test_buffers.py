@@ -62,16 +62,6 @@ def test_out_of_order_completion():
     assert drops == []
 
 
-def test_duplicates_counted_and_first_write_wins():
-    rbuf, counters, _ = make_rbuf()
-    rbuf.insert(KEY, 0, b"A" * 16, now=0, dgram_id=1)
-    assert rbuf.insert(KEY, 8, b"B" * 8, now=1, dgram_id=1) is None  # full overlap
-    assert counters.duplicate_fragments == 1
-    datagram = rbuf.insert(KEY, 12, b"C" * 12, now=2, dgram_id=1)
-    assert counters.duplicate_fragments == 2  # partial overlap also counted
-    assert datagram == b"A" * 16 + b"C" * 8
-
-
 def test_rbuf_full_drops_new_key_without_eviction():
     rbuf, counters, drops = make_rbuf(capacity=1)
     rbuf.insert(KEY, 0, b"x" * 8, now=0, dgram_id=1)
@@ -143,18 +133,6 @@ def test_arena_exhaustion_drops_datagram_and_frees_bytes():
     assert counters.pktbuf_full == 1
     assert drops == [(1, "pktbuf_full")]
     assert rbuf.live_entries == 0
-    assert arena.used == 0
-
-
-def test_duplicate_bytes_not_charged_to_arena():
-    arena = PacketArena(capacity=16)
-    rbuf, counters, _ = make_rbuf(capacity=4, arena=arena)
-    rbuf.insert(KEY, 0, b"x" * 16, now=0, dgram_id=1)
-    assert rbuf.insert(KEY, 0, b"x" * 16, now=1, dgram_id=1) is None
-    assert rbuf.live_entries == 1
-    assert arena.used == 16
-    assert counters.pktbuf_full == 0
-    rbuf.expire_due(TIMEOUT + 2)
     assert arena.used == 0
 
 
@@ -232,18 +210,13 @@ def test_one_expiry_event_serves_entries_in_deadline_order():
 
 @st.composite
 def _arrivals(draw):
-    """One datagram and fragments covering it, as (offset, bytes) in
-    arrival order: a fragmentation under either policy, plus stray copies
-    of random spans, some overlapping fragment boundaries."""
+    """One datagram and the fragments of its fragmentation under either
+    policy, as (offset, bytes) in any arrival order."""
     size = draw(st.integers(145, MAX_DATAGRAM))    # too big for one frame
     datagram = random.Random(draw(st.integers(0, 2 ** 32))).randbytes(size)
     frags = fragment_datagram(datagram, draw(st.integers(0, 40)), 0, 104,
                               draw(st.sampled_from(POLICIES)))
     pieces = [(f.offset, f.payload) for f in frags]
-    for _ in range(draw(st.integers(0, 6))):
-        start = draw(st.integers(0, size - 1))
-        end = draw(st.integers(start + 1, min(size, start + 120)))
-        pieces.append((start, datagram[start:end]))
     return datagram, draw(st.permutations(pieces))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import lowpansim
 from lowpansim.cli import main
+from lowpansim.harness import MAX_WAIT_US
 
 from test_harness import line_topology, write_scenario
 from test_topology import NEGATIVE_ID
@@ -221,6 +222,33 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "argument --jobs" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("over, code", (
+    ({"stack": {"proc_delay_us": 10 ** 19}}, 2),
+    ({"mac": {"ack_timeout_us": 10 ** 19}}, 2),
+    ({"stack": {"proc_delay_us": MAX_WAIT_US}}, 0),
+), ids=("proc-delay-1e19", "ack-timeout-1e19", "proc-delay-at-bound"))
+def test_every_run_file_written_can_be_aggregated(tmp_path, capsys, over,
+                                                  code):
+    # A processing delay of 10**19 us once ran and wrote a latency past
+    # 2**63 us, which `aggregate` then refused as out of range.  A wait
+    # above MAX_WAIT_US is now a configuration error, and a run at the
+    # bound folds back into its own aggregate.json.
+    scn = write_scenario(tmp_path, line_topology(4), packets_per_source=1,
+                         **over)
+    outdir = tmp_path / "out"
+    assert main(["run", "--scenario", str(scn), "--out", str(outdir)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not outdir.exists()
+        return
+    agg = tmp_path / "agg.json"
+    assert main(["aggregate", "--out", str(agg),
+                 str(outdir / "run-00.txt")]) == 0
+    assert agg.read_bytes() == (outdir / "aggregate.json").read_bytes()
 
 
 def test_aggregate_refuses_mixed_inputs_via_cli(tmp_path, capsys):

@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 from lowpansim import harness
 from lowpansim.cli import main
 from lowpansim.harness import (Run, ScenarioError, FRAG_COUNT_TABLE,
-                               UNBOUNDED_ENTRIES, _SCHEMA, _render_run,
-                               _scenario_block, aggregate_runs, load_scenario,
-                               read_run_file, run_experiment, frag_table_check,
-                               scenario_fingerprint, worker_count)
+                               MAX_WAIT_US, UNBOUNDED_ENTRIES, _SCHEMA,
+                               _render_run, _scenario_block, aggregate_runs,
+                               load_scenario, read_run_file, run_experiment,
+                               frag_table_check, scenario_fingerprint,
+                               worker_count)
 from lowpansim.link_mac import CCA_DUR_US, MacParams, airtime_us
 from lowpansim.node_stack import StackParams
 from lowpansim.topology import Topology, link_pdr, save_topology
@@ -98,7 +99,11 @@ def test_scenario_validation(tmp_path):
         {"mac": {"min_be": 64, "max_be": 64}},
         {"mac": {"l2_overhead": 200}},
         {"mac": {"queue_retry_us": 0}},
+        {"mac": {"ack_timeout_us": MAX_WAIT_US + 1}},
+        {"mac": {"queue_retry_us": MAX_WAIT_US + 1}},
         {"stack": {"proc_delay_us": -5}},
+        {"stack": {"proc_delay_us": MAX_WAIT_US + 1}},
+        {"stack": {"reassembly_timeout_us": 10 ** 19}},
         {"stack": {"comp_header_bytes": 41}},
         {"version": 2},
         {"version": True},
@@ -419,15 +424,56 @@ def test_leaked_datagram_tags_are_violations(tmp_path, monkeypatch, capsys):
                 self.tags.acquire = acquire_and_leak_once
 
     monkeypatch.setattr(harness, "Node", Leaky)
-    scn = write_scenario(tmp_path, line_topology(4))
+    assert run_violations(tmp_path, capsys) == [
+        "violations\t1", "violation\t80\tnode 3 still holds datagram tags"]
+
+
+def run_violations(tmp_path, capsys, **over):
+    """Run a 4-node HWR line with every link lossless, in which every
+    datagram arrives; return the violation lines of its run file."""
+    scn = write_scenario(tmp_path, line_topology(4), **over)
     assert main(["run", "--scenario", str(scn),
                  "--out", str(tmp_path / "out")]) == 1
     assert "violations: 1" in capsys.readouterr().out
     text = (tmp_path / "out" / "run-00.txt").read_text()
-    assert [line for line in text.splitlines()
-            if line.startswith("violation")] == [
-        "violations\t1", "violation\t80\tnode 3 still holds datagram tags"]
     assert "80\t2\t4\t4\t1.0" in text.splitlines()       # all delivered
+    return [line for line in text.splitlines()
+            if line.startswith("violation")]
+
+
+def test_corrupted_datagram_is_a_violation(tmp_path, monkeypatch, capsys):
+    # The sink flips one byte of datagram 1 as it hands it up.
+    class Flipping(harness.Node):
+        def _deliver_up(self, dgram_id, datagram, now):
+            if dgram_id == 1:
+                datagram = bytes([datagram[0] ^ 1]) + datagram[1:]
+            super()._deliver_up(dgram_id, datagram, now)
+
+    monkeypatch.setattr(harness, "Node", Flipping)
+    assert run_violations(tmp_path, capsys) == [
+        "violations\t1", "violation\t80\tdatagram 1 corrupted in transit"]
+
+
+def test_reassembly_state_left_after_the_drain_is_a_violation(
+        tmp_path, monkeypatch, capsys):
+    # Node 1 frees each reassembled datagram's bytes but keeps its entry,
+    # and its table arms no expiry event that would take the entry out.
+    # Its table has room for them all, so every datagram still arrives.
+    class Hoarding(harness.Node):
+        def __init__(self, config, *args):
+            super().__init__(config, *args)
+            if config.id == 1:
+                rbuf = self.rbuf
+
+                def keep(entry):
+                    rbuf.arena.free(entry.held_bytes)
+                    entry.held_bytes = 0
+
+                rbuf.remove, rbuf._arm = keep, lambda: None
+
+    monkeypatch.setattr(harness, "Node", Hoarding)
+    assert run_violations(tmp_path, capsys, rbuf_entries=None) == [
+        "violations\t1", "violation\t80\tnode 1 still holds reassembly state"]
 
 
 def test_aggregate_single_run_equals_that_run(tmp_path):

@@ -7,8 +7,10 @@ link and a few extra links add interference, each with a PDR in [0.5, 1].
 A run must report no violation, and the drain checks at its end are
 violations too.  While it runs, a MAC never starts a frame while another
 is in flight, a node never hands out a live datagram tag or frees one
-that is not live, and a forwarder retags only first fragments that carry
-exactly the 40-byte header region.  Under the lossless oracle's settings
+that is not live, a node processes the fragments of each datagram key in
+strictly increasing offset order, so each at most once, and a forwarder
+retags only first fragments that carry exactly the 40-byte header region.
+Under the lossless oracle's settings
 every datagram arrives.  A run that keeps scheduling events at one instant
 fails instead of hanging, so hypothesis can shrink a livelock to a small
 network.
@@ -26,12 +28,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowpansim import node_stack
+from lowpansim.buffers import DatagramKey
 from lowpansim.cli import main
 from lowpansim.frag_codec import HEADER_REGION, Frag1Header
 from lowpansim.harness import (STUDY_PAYLOADS, UNBOUNDED_ENTRIES, _simulate,
                                scenario_from_dict)
 from lowpansim.link_mac import Mac
-from lowpansim.node_stack import STRATEGIES
+from lowpansim.node_stack import STRATEGIES, Node
 from lowpansim.sim_core import Simulator
 from lowpansim.topology import Topology, load_topology, save_topology
 from lowpansim.vrb import TagAllocator
@@ -109,11 +112,14 @@ def lossless_scenarios(draw):
 
 @contextmanager
 def checked_invariants():
-    """Wrap the MAC, the tag allocator and the forwarder's retag so that
-    a broken invariant raises out of the simulation."""
+    """Wrap the MAC, the tag allocator, the stack's receive step and the
+    forwarder's retag so that a broken invariant raises out of the
+    simulation.  No node here issues 65,536 tags, so a datagram key is
+    used once per run."""
     start_job, acquire, release = (Mac._start_job, TagAllocator.acquire,
                                    TagAllocator.release)
-    refragment_first = node_stack.refragment_first
+    process, refragment_first = Node._process, node_stack.refragment_first
+    last_offset = {}
 
     def checked_start_job(mac, frame):
         assert mac.current is None, "node %d: two frames in flight" % (
@@ -130,6 +136,17 @@ def checked_invariants():
         assert tag in tags.live, "tag %d released but not live" % tag
         release(tags, tag)
 
+    def checked_process(node, frame):
+        header = frame.fragment.header
+        if header is not None:
+            key = DatagramKey(frame.src, node.config.id,
+                              header.datagram_size, header.datagram_tag)
+            offset = frame.fragment.offset
+            assert offset > last_offset.get(key, -1), (
+                "offset %d after %d for %r" % (offset, last_offset[key], key))
+            last_offset[key] = offset
+        process(node, frame)
+
     def checked_refragment_first(first_frag, tag):
         assert isinstance(first_frag.header, Frag1Header), first_frag
         assert len(first_frag.payload) == HEADER_REGION, first_frag
@@ -138,6 +155,7 @@ def checked_invariants():
     with mock.patch.object(Mac, "_start_job", checked_start_job), \
             mock.patch.object(TagAllocator, "acquire", checked_acquire), \
             mock.patch.object(TagAllocator, "release", checked_release), \
+            mock.patch.object(Node, "_process", checked_process), \
             mock.patch.object(node_stack, "refragment_first",
                               checked_refragment_first):
         yield

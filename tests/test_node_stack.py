@@ -223,27 +223,15 @@ def test_ff_missing_first_fragment_times_out_flagged():
     assert fwd.arena.used == 0
 
 
-def test_ff_out_of_order_falls_back_to_reassembly():
+def test_ff_duplicate_first_fragment_is_an_error():
+    # A node receives each fragment at most once; a second first fragment
+    # for a live VRB entry breaks that premise and must not pass silently.
     line = Line(3, "FF")
-    frags, datagram = source_frags()
-    inject(line, frags, [1, 0, 2, 3], [0, 3000, 6000, 9000])
-    line.run()
-    fwd = line.nodes[1]
-    assert line.got[0][:2] == (42, datagram)
-    assert fwd.counters.datagrams_forwarded == 1
-    assert fwd.counters.rbuf_timeout == 0
-    assert fwd.vrb.live_entries == 0 and fwd.counters.vrb_expired == 0
-    assert line.drops == []
-
-
-def test_ff_duplicate_first_fragment_ignored():
-    line = Line(3, "FF")
-    frags, datagram = source_frags()
+    frags, _ = source_frags()
     inject(line, frags, [0, 0, 1, 2, 3], [0, 3000, 6000, 9000, 12000])
-    line.run()
-    fwd = line.nodes[1]
-    assert fwd.counters.duplicate_fragments == 1
-    assert [g[:2] for g in line.got] == [(42, datagram)]
+    with pytest.raises(ValueError, match="duplicate VRB entry"):
+        line.run()
+    assert line.sim.now == 3000 + PROC
 
 
 def test_ff_tag_rewrite_keeps_content_len_of_fresh_fragments():
