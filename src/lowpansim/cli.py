@@ -7,17 +7,13 @@ from pathlib import Path
 
 from .harness import (ScenarioError, aggregate_runs, load_scenario,
                       read_run_file, run_experiment, frag_table_check)
-from .topology import (GenerationError, TopologyFileError,
-                       TopologyRequestError, find_topology, grid_office_plan,
-                       save_topology)
+from .topology import (GenerationError, TopologyFileError, find_topology,
+                       grid_office_plan, save_topology)
 
 
 def _cmd_generate(args):
     plan = grid_office_plan(seed=args.plan_seed)
-    topo, seed = find_topology(plan, sink=args.sink,
-                               start_seed=args.start_seed,
-                               member_target=args.members,
-                               max_hops=args.max_hops, tries=args.tries)
+    topo, seed = find_topology(plan, start_seed=args.start_seed)
     save_topology(topo, args.out)
     print("wrote %s: %d members, sink %d, max %d hops, sampling seed %d"
           % (args.out, len(topo.members), topo.sink,
@@ -78,11 +74,7 @@ def main(argv=None):
                               "synthetic floor plan")
     gen.add_argument("--out", required=True)
     gen.add_argument("--plan-seed", type=int, default=0)
-    gen.add_argument("--sink", type=int, default=0)
     gen.add_argument("--start-seed", type=int, default=0)
-    gen.add_argument("--members", type=int, default=50)
-    gen.add_argument("--max-hops", type=int, default=6)
-    gen.add_argument("--tries", type=int, default=10000)
     gen.set_defaults(fn=_cmd_generate)
 
     run = sub.add_parser("run", help="execute a scenario file")
@@ -106,8 +98,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, GenerationError, TopologyFileError,
-            TopologyRequestError, OSError) as err:
+    except (ScenarioError, GenerationError, TopologyFileError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

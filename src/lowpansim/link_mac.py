@@ -107,14 +107,15 @@ class Mac:
     def wire_size(self, frame):
         return self.params.l2_overhead + frame.fragment.content_len
 
-    def _transceiver_busy(self, now):
+    # These two run only while no job is current, and a job ends when its
+    # airtime does, so the MAC is never on the air then.
+    def _transceiver_busy(self):
         # Carrier overheard from elsewhere (rx_busy_until with no frame of
         # ours arriving) is not transceiver business; CCA deals with it.
-        return (self.tx_until > now or self.current_rx is not None
-                or self.rx_held)
+        return self.current_rx is not None or self.rx_held
 
     def _busy_end(self):
-        return max(self.tx_until, self.rx_busy_until, self.rx_hold_until)
+        return max(self.rx_busy_until, self.rx_hold_until)
 
     def reception_ended(self, rx):
         """Close the reception `rx` opened here; return whether its frame
@@ -142,7 +143,7 @@ class Mac:
             self.counters.pktbuf_full += 1
             self.on_frame_done(frame, False, "pktbuf_full")
             return
-        if self.current is None and not self.queue and not self._transceiver_busy(now):
+        if self.current is None and not self.queue and not self._transceiver_busy():
             self._start_job(frame)
             return
         cap = self.params.queue_capacity
@@ -169,9 +170,8 @@ class Mac:
     def _try_service(self):
         if self.current is not None or not self.queue:
             return
-        now = self.sim.now
-        if self._transceiver_busy(now):
-            self._schedule_service(now)
+        if self._transceiver_busy():
+            self._schedule_service(self.sim.now)
             return
         self._start_job(self.queue.popleft())
 

@@ -3,10 +3,13 @@
 A site plan is a dict of node positions, {node id: (x, y, z)}. A topology
 is the subset of nodes admitted to the network plus a routing tree toward
 the sink and a link quality map. Members are picked by a breadth first
-sampling walk: each visited node draws one to three unvisited nodes from
-the 2.2 m to 6.6 m ring around it (the sink draws exactly two) until fifty
-members exist. Links shorter than 2.2 m never become tree edges but still
-carry traffic and interference at perfect delivery.
+sampling walk from the sink, the plan's node SINK (0): each visited node
+draws one to three unvisited nodes from the 2.2 m to 6.6 m ring around it
+(the sink draws exactly two) until MEMBER_TARGET (50) members exist.
+find_topology keeps the first of TRIES (10,000) sampling seeds whose tree
+has a bottleneck forwarder and is MAX_HOPS (6) deep. Links shorter than
+2.2 m never become tree edges but still carry traffic and interference at
+perfect delivery.
 """
 
 import math
@@ -16,15 +19,14 @@ from collections import deque
 GATE_NEAR_M = 2.2
 GATE_FAR_M = 6.6
 PDR_FAR = 0.975
+SINK = 0
 MEMBER_TARGET = 50
+MAX_HOPS = 6
+TRIES = 10_000
 
 
 class GenerationError(RuntimeError):
     """The plan could not yield an acceptable topology; try another seed."""
-
-
-class TopologyRequestError(ValueError):
-    """A sink or member target that no seed of the plan can satisfy."""
 
 
 class TopologyFileError(ValueError):
@@ -133,24 +135,19 @@ def _member_links(positions):
     return links
 
 
-def build_topology(plan, sink, seed, member_target=MEMBER_TARGET):
+def build_topology(plan, seed):
     """Sample a routing tree from the plan by the breadth first walk."""
-    if sink not in plan:
-        raise TopologyRequestError("sink %d not in plan" % sink)
-    if member_target < 3:
-        raise TopologyRequestError("member target %d cannot fit the sink and "
-                                   "its two picks" % member_target)
     rng = random.Random(seed)
-    visited = {sink}
+    visited = {SINK}
     routes = {}
-    queue = deque([sink])
-    while queue and len(visited) < member_target:
+    queue = deque([SINK])
+    while queue and len(visited) < MEMBER_TARGET:
         head = queue.popleft()
         hx = plan[head]
         cands = sorted(n for n, pos in plan.items()
                        if n not in visited
                        and GATE_NEAR_M <= math.dist(hx, pos) <= GATE_FAR_M)
-        if head == sink:
+        if head == SINK:
             if len(cands) < 2:
                 raise GenerationError("sink needs two neighbors, found %d"
                                       % len(cands))
@@ -158,16 +155,16 @@ def build_topology(plan, sink, seed, member_target=MEMBER_TARGET):
         else:
             take = rng.randint(1, 3)
         for child in sorted(rng.sample(cands, min(take, len(cands)))):
-            if len(visited) >= member_target:
+            if len(visited) >= MEMBER_TARGET:
                 break
             visited.add(child)
             routes[child] = head
             queue.append(child)
-    if len(visited) < member_target:
+    if len(visited) < MEMBER_TARGET:
         raise GenerationError("plan exhausted at %d of %d members"
-                              % (len(visited), member_target))
+                              % (len(visited), MEMBER_TARGET))
     positions = {n: plan[n] for n in visited}
-    return Topology(sink, positions, routes, _member_links(positions))
+    return Topology(SINK, positions, routes, _member_links(positions))
 
 
 def has_bottleneck(topo):
@@ -178,31 +175,18 @@ def has_bottleneck(topo):
     return any(n >= 2 for parent, n in kids.items() if parent != topo.sink)
 
 
-def find_topology(plan, sink, start_seed=0, member_target=MEMBER_TARGET,
-                  max_hops=None, tries=10000):
-    """Scan seeds until the sampled tree has the wanted shape.
-
-    Acceptance needs a bottleneck forwarder and, when max_hops is given,
-    that exact tree depth. Returns (topology, seed).
-    """
-    # The bottleneck is not the sink, so its children are 2+ hops out.
-    if max_hops is not None and max_hops < 2:
-        raise TopologyRequestError("max hops %d: an accepted tree has a "
-                                   "bottleneck forwarder, so a depth of at "
-                                   "least 2" % max_hops)
-    if tries < 1:
-        raise TopologyRequestError("tries must be positive, not %d" % tries)
-    for seed in range(start_seed, start_seed + tries):
+def find_topology(plan, start_seed=0):
+    """Return (topology, seed) for the first of TRIES seeds from start_seed
+    whose tree has a bottleneck forwarder and a depth of MAX_HOPS."""
+    for seed in range(start_seed, start_seed + TRIES):
         try:
-            topo = build_topology(plan, sink, seed, member_target)
+            topo = build_topology(plan, seed)
         except GenerationError:
             continue
-        if not has_bottleneck(topo):
-            continue
-        if max_hops is not None and max(topo.hop_distance.values()) != max_hops:
-            continue
-        return topo, seed
-    raise GenerationError("no acceptable topology in %d seeds" % tries)
+        depth = max(topo.hop_distance.values())
+        if depth == MAX_HOPS and has_bottleneck(topo):
+            return topo, seed
+    raise GenerationError("no acceptable topology in %d seeds" % TRIES)
 
 
 def save_topology(topo, path):

@@ -300,20 +300,3 @@ def test_aggregate_reports_the_seeds_of_the_files_it_folds(tmp_path, capsys):
     both = aggregate(run1, run0)
     assert both["runs"] == 2 and both["seeds"] == [2, 1]
     assert both["per_payload"]["80"]["pdr"] == pdr[run1] + pdr[run0]
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--members", "2"], "member target 2"),
-    (["--sink", "999"], "sink 999 not in plan"),
-    (["--max-hops", "0"], "max hops 0"),
-    (["--max-hops", "1"], "max hops 1"),
-    (["--tries", "-1"], "tries must be positive, not -1"),
-], ids=("members-2", "sink-999", "max-hops-0", "max-hops-1", "tries-neg"))
-def test_generate_topology_bad_request_exits_2(tmp_path, capsys, flags,
-                                               message):
-    out = tmp_path / "net.txt"
-    assert main(["generate-topology", "--out", str(out)] + flags) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert "Traceback" not in err and len(err.splitlines()) == 1
-    assert not out.exists()

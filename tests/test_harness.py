@@ -22,7 +22,7 @@ from lowpansim.harness import (Run, ScenarioError, FRAG_COUNT_TABLE,
                                load_scenario, read_run_file, run_experiment,
                                frag_table_check, scenario_fingerprint,
                                worker_count)
-from lowpansim.link_mac import CCA_DUR_US, MacParams, airtime_us
+from lowpansim.link_mac import CCA_DUR_US, Frame, MacParams, airtime_us
 from lowpansim.node_stack import StackParams
 from lowpansim.topology import Topology, link_pdr, save_topology
 
@@ -474,6 +474,82 @@ def test_reassembly_state_left_after_the_drain_is_a_violation(
     monkeypatch.setattr(harness, "Node", Hoarding)
     assert run_violations(tmp_path, capsys, rbuf_entries=None) == [
         "violations\t1", "violation\t80\tnode 1 still holds reassembly state"]
+
+
+def test_datagram_delivered_twice_is_a_violation(tmp_path, monkeypatch,
+                                                 capsys):
+    # The sink hands datagram 1 up twice.
+    class Repeating(harness.Node):
+        def _deliver_up(self, dgram_id, datagram, now):
+            super()._deliver_up(dgram_id, datagram, now)
+            if dgram_id == 1:
+                super()._deliver_up(dgram_id, datagram, now)
+
+    monkeypatch.setattr(harness, "Node", Repeating)
+    assert run_violations(tmp_path, capsys) == [
+        "violations\t1", "violation\t80\tdatagram 1 delivered twice"]
+
+
+def test_delivery_after_a_loss_cause_is_a_violation(tmp_path, monkeypatch,
+                                                    capsys):
+    # Forwarder 1 reports datagram 1 lost to a full queue, then forwards it.
+    class Contradicting(harness.Node):
+        def _send_fragments(self, datagram, dgram_id):
+            if self.config.id == 1 and dgram_id == 1:
+                self.on_drop(dgram_id, "queue_drop", self.sim.now)
+            return super()._send_fragments(datagram, dgram_id)
+
+    monkeypatch.setattr(harness, "Node", Contradicting)
+    assert run_violations(tmp_path, capsys) == [
+        "violations\t1",
+        "violation\t80\tdatagram 1 delivered after loss cause queue_drop"]
+
+
+def test_drop_of_an_unknown_datagram_is_a_violation(tmp_path, monkeypatch,
+                                                    capsys):
+    # Node 2 reports a drop of datagram 0, which no node ever sent.
+    class Misreporting(harness.Node):
+        def app_send(self, payload_size, dgram_id):
+            if dgram_id == 1:
+                self.on_drop(0, "frag_buf_full", self.sim.now)
+            return super().app_send(payload_size, dgram_id)
+
+    monkeypatch.setattr(harness, "Node", Misreporting)
+    assert run_violations(tmp_path, capsys) == [
+        "violations\t1",
+        "violation\t80\tdrop (frag_buf_full) of unknown datagram 0"]
+
+
+def test_arena_bytes_left_after_the_drain_are_a_violation(
+        tmp_path, monkeypatch, capsys):
+    # Node 2 charges 7 bytes to its arena with its first datagram and
+    # never frees them.
+    class Leaking(harness.Node):
+        def app_send(self, payload_size, dgram_id):
+            if dgram_id == 1:
+                assert self.arena.alloc(7)
+            return super().app_send(payload_size, dgram_id)
+
+    monkeypatch.setattr(harness, "Node", Leaking)
+    assert run_violations(tmp_path, capsys) == [
+        "violations\t1",
+        "violation\t80\tnode 2 arena holds 7 bytes after drain"]
+
+
+def test_frames_left_after_the_drain_are_a_violation(tmp_path, monkeypatch,
+                                                     capsys):
+    # Long after its last frame, node 3 parks one more in its MAC queue
+    # and schedules no service event that would send it.
+    class Parking(harness.Node):
+        def __init__(self, config, sim, *args):
+            super().__init__(config, sim, *args)
+            if config.id == 3:
+                sim.at(10 ** 9, self.mac.queue.append,
+                       Frame(3, 2, None, 4))
+
+    monkeypatch.setattr(harness, "Node", Parking)
+    assert run_violations(tmp_path, capsys) == [
+        "violations\t1", "violation\t80\tnode 3 still holds frames"]
 
 
 def test_aggregate_single_run_equals_that_run(tmp_path):

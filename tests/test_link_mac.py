@@ -101,9 +101,16 @@ def test_csma_failure_counts_as_retransmission():
     assert rig.macs[1].counters.frames_sent == 0   # never reached the air
 
 
+def hold_transceiver(mac, until):
+    """Occupy the idle MAC's frame buffer until `until`, as a received
+    frame's handover does."""
+    mac.rx_held, mac.rx_hold_until = True, until
+    mac.sim.at(until, mac._rx_release)
+
+
 def test_queue_overflow_drops_newest():
     rig = Rig([(1, 2)], params=dict(min_be=0, max_be=0, queue_capacity=2))
-    rig.macs[1].tx_until = 10 ** 6    # transceiver stuck transmitting
+    hold_transceiver(rig.macs[1], 10 ** 6)    # transceiver stuck busy
     frames = [Frame(1, 2, small_frame(), dgram_id=i) for i in range(4)]
     for f in frames:
         rig.macs[1].send(f)
@@ -116,7 +123,7 @@ def test_queue_overflow_drops_newest():
 
 def test_queued_frame_starts_when_radio_frees():
     rig = Rig([(1, 2)])
-    rig.macs[1].tx_until = 3000   # frees before the 5 ms retry cap
+    hold_transceiver(rig.macs[1], 3000)   # frees before the 5 ms retry cap
     f = Frame(1, 2, small_frame(), dgram_id=1)
     rig.macs[1].send(f)
     rig.sim.run()
@@ -126,7 +133,7 @@ def test_queued_frame_starts_when_radio_frees():
 
 def test_queued_frame_retries_every_5ms_while_busy():
     rig = Rig([(1, 2)])
-    rig.macs[1].tx_until = 9000   # past the first 5 ms service retry
+    hold_transceiver(rig.macs[1], 9000)   # past the first 5 ms service retry
     f = Frame(1, 2, small_frame(), dgram_id=1)
     rig.macs[1].send(f)
     rig.sim.run()

@@ -5,21 +5,29 @@ strategy with buffer, queue and arena sizes from one to unbounded.  Every
 node sits at the origin, so any link is in range; each route edge has a
 link and a few extra links add interference, each with a PDR in [0.5, 1].
 A run must report no violation, and the drain checks at its end are
-violations too.  While it runs, a MAC never starts a frame while another
-is in flight, a node never hands out a live datagram tag or frees one
-that is not live, a node processes the fragments of each datagram key in
-strictly increasing offset order, so each at most once, and a forwarder
-retags only first fragments that carry exactly the 40-byte header region.
-Under the lossless oracle's settings
-every datagram arrives.  A run that keeps scheduling events at one instant
-fails instead of hanging, so hypothesis can shrink a livelock to a small
-network.
+violations too.  While it runs:
 
-Two held-out 50-member networks, generated from other synthetic floor
-plans, must come out byte-identical on every generation and run clean
-under every strategy at the smallest and largest fragmented payloads.
+- a MAC never starts a frame while another is in flight, and ends no job
+  before its airtime does, so a MAC with no job is never on the air;
+- a node never hands out a live datagram tag or frees one that is not
+  live;
+- a node processes the fragments of each datagram key in strictly
+  increasing offset order, so each at most once;
+- a forwarder retags only first fragments that carry exactly the 40-byte
+  header region.
+
+Under the lossless oracle's settings every datagram arrives.  A run that
+keeps scheduling events at one instant fails instead of hanging, so
+hypothesis can shrink a livelock to a small network.
+
+Three held-out 50-member networks, generated from two other synthetic
+floor plans and from another start seed, must come out byte-identical on
+every generation, with the SHA-256 each had when it was first measured,
+and run clean under every strategy at the smallest and largest
+fragmented payloads.
 """
 
+import hashlib
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -112,12 +120,12 @@ def lossless_scenarios(draw):
 
 @contextmanager
 def checked_invariants():
-    """Wrap the MAC, the tag allocator, the stack's receive step and the
-    forwarder's retag so that a broken invariant raises out of the
-    simulation.  No node here issues 65,536 tags, so a datagram key is
-    used once per run."""
-    start_job, acquire, release = (Mac._start_job, TagAllocator.acquire,
-                                   TagAllocator.release)
+    """Wrap the MAC's job start and end, the tag allocator, the stack's
+    receive step and the forwarder's retag so that a broken invariant
+    raises out of the simulation.  No node here issues 65,536 tags, so a
+    datagram key is used once per run."""
+    start_job, finish_job = Mac._start_job, Mac._finish_job
+    acquire, release = TagAllocator.acquire, TagAllocator.release
     process, refragment_first = Node._process, node_stack.refragment_first
     last_offset = {}
 
@@ -125,6 +133,14 @@ def checked_invariants():
         assert mac.current is None, "node %d: two frames in flight" % (
             mac.node_id)
         start_job(mac, frame)
+
+    def checked_finish_job(mac, frame, size, ok, cause):
+        # A MAC with no job is never on the air, so its idle transceiver
+        # checks need not look at tx_until.
+        assert mac.tx_until <= mac.sim.now, (
+            "node %d: job ended on the air until %d" % (mac.node_id,
+                                                        mac.tx_until))
+        finish_job(mac, frame, size, ok, cause)
 
     def checked_acquire(tags):
         live = len(tags.live)
@@ -153,6 +169,7 @@ def checked_invariants():
         return refragment_first(first_frag, tag)
 
     with mock.patch.object(Mac, "_start_job", checked_start_job), \
+            mock.patch.object(Mac, "_finish_job", checked_finish_job), \
             mock.patch.object(TagAllocator, "acquire", checked_acquire), \
             mock.patch.object(TagAllocator, "release", checked_release), \
             mock.patch.object(Node, "_process", checked_process), \
@@ -207,14 +224,21 @@ def test_generated_lossless_networks_deliver_everything(work, topo, cfg):
     assert record.delivered == record.sent
 
 
-@pytest.mark.parametrize("plan_seed", (1, 2))
-def test_held_out_networks_are_reproducible_and_run_clean(tmp_path,
-                                                          plan_seed):
+@pytest.mark.parametrize("flags, digest", [
+    pytest.param(["--plan-seed", "1"], "fedd7963d21e57886a88a746d3f09303"
+                 "ae9ab443d537a3b8b0e6e39ce9c887bb", id="1"),
+    pytest.param(["--plan-seed", "2"], "6b0c45e83f46f6381df93a26c18e6e86"
+                 "e01e82fd7052ce9491b4432b89d38bf7", id="2"),
+    pytest.param(["--start-seed", "1"], "33f755b8ed08cb095d175080f392413f"
+                 "1e50f26e36bb1febdee9478bf94c137a", id="start-seed-1"),
+])
+def test_held_out_networks_are_reproducible_and_run_clean(tmp_path, flags,
+                                                          digest):
     paths = [tmp_path / ("net-%s.txt" % run) for run in "ab"]
     for path in paths:
-        assert main(["generate-topology", "--plan-seed", str(plan_seed),
-                     "--out", str(path)]) == 0
+        assert main(["generate-topology", *flags, "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert hashlib.sha256(paths[0].read_bytes()).hexdigest() == digest
     topo = load_topology(paths[0])
     for strategy in sorted(STRATEGIES):
         scenario = scenario_from_dict({

@@ -4,11 +4,11 @@ import math
 
 import pytest
 
-from lowpansim.topology import (GATE_FAR_M, GATE_NEAR_M, GenerationError,
-                                Topology, TopologyFileError,
-                                build_topology, find_topology,
-                                grid_office_plan, link_pdr, load_topology,
-                                save_topology)
+from lowpansim.topology import (GATE_FAR_M, GATE_NEAR_M, MAX_HOPS,
+                                MEMBER_TARGET, GenerationError, Topology,
+                                TopologyFileError, build_topology,
+                                find_topology, grid_office_plan, link_pdr,
+                                load_topology, save_topology)
 
 
 def test_link_pdr_profile():
@@ -42,8 +42,8 @@ def sink_children(topo):
 
 def test_build_topology_shape_and_determinism():
     plan = grid_office_plan(seed=0)
-    topo = build_topology(plan, sink=0, seed=5)
-    again = build_topology(plan, sink=0, seed=5)
+    topo = build_topology(plan, seed=5)
+    again = build_topology(plan, seed=5)
     assert topo.routes == again.routes and topo.links == again.links
 
     assert len(topo.members) == 50
@@ -68,7 +68,7 @@ def test_build_topology_shape_and_determinism():
 
 
 def test_senders_exclude_sink_and_its_children():
-    topo = build_topology(grid_office_plan(seed=0), sink=0, seed=5)
+    topo = build_topology(grid_office_plan(seed=0), seed=5)
     senders = topo.senders()
     assert len(senders) == 47
     skip = {topo.sink, *sink_children(topo)}
@@ -80,36 +80,40 @@ def test_too_dense_plan_fails_generation():
     # so the sink has no candidates at all.
     cluster = {i: ((i % 8) * 0.2, (i // 8) * 0.2, 0.0) for i in range(60)}
     with pytest.raises(GenerationError):
-        build_topology(cluster, sink=0, seed=1)
+        build_topology(cluster, seed=1)
 
 
 def test_exhaustion_before_target_raises():
     with pytest.raises(GenerationError):
-        build_topology(line_plan(10), sink=0, seed=1)   # only 10 nodes
+        build_topology(line_plan(10), seed=1)   # only 10 nodes
 
 
 def test_sink_with_exactly_two_candidates_takes_both():
-    plan = {0: (0.0, 0.0, 0.0), 1: (3.0, 0.0, 0.0),
-            2: (0.0, 3.0, 0.0), 3: (50.0, 50.0, 0.0)}
-    topo = build_topology(plan, sink=0, seed=9, member_target=3)
+    # Nodes 1 and 2 are the sink's only candidates, 3 m out; the walk goes
+    # on through node 1 along a 3 m-pitch line that starts 8 m away.
+    plan = {0: (0.0, 0.0, 0.0), 1: (3.0, 0.0, 0.0), 2: (0.0, 3.0, 0.0)}
+    for i in range(60):
+        plan[3 + i] = (8.0 + 3.0 * i, 0.0, 0.0)
+    topo = build_topology(plan, seed=9)
     assert sink_children(topo) == [1, 2]
-    assert topo.hop_distance == {0: 0, 1: 1, 2: 1}
+    assert len(topo.members) == MEMBER_TARGET
+    assert {n: topo.hop_distance[n] for n in (0, 1, 2)} == {0: 0, 1: 1, 2: 1}
 
 
 def test_find_topology_enforces_size_and_depth():
-    topo, seed = find_topology(grid_office_plan(seed=0), sink=0,
-                               start_seed=0, tries=500)
+    topo, seed = find_topology(grid_office_plan(seed=0), start_seed=0)
     non_sink_kids = {}
     for child, parent in topo.routes.items():
         if parent != topo.sink:
             non_sink_kids[parent] = non_sink_kids.get(parent, 0) + 1
     assert max(non_sink_kids.values()) >= 2         # bottleneck forwarder
     assert len(topo.members) == 50
-    assert build_topology(grid_office_plan(seed=0), 0, seed).routes == topo.routes
+    assert max(topo.hop_distance.values()) == MAX_HOPS
+    assert build_topology(grid_office_plan(seed=0), seed).routes == topo.routes
 
 
 def test_save_load_round_trip(tmp_path):
-    topo = build_topology(grid_office_plan(seed=0), sink=0, seed=5)
+    topo = build_topology(grid_office_plan(seed=0), seed=5)
     path = tmp_path / "net.txt"
     save_topology(topo, path)
     back = load_topology(path)
@@ -140,7 +144,7 @@ def test_pinned_fixture_shape():
     assert len(sink_children(topo)) == 2
     assert len(topo.senders()) == 47
     assert max(topo.hop_distance.values()) == 6
-    rebuilt = build_topology(grid_office_plan(seed=0), sink=0, seed=0)
+    rebuilt = build_topology(grid_office_plan(seed=0), seed=0)
     assert rebuilt.routes == topo.routes and rebuilt.links == topo.links
 
 
