@@ -87,7 +87,7 @@ class DeadlineTable:
     an entry is stored; that event is the only way an entry expires, so
     an access that runs at deadline + 1 ahead of it still finds the entry.
     `remove` is the only way an entry leaves, freeing its arena charge
-    `held_bytes`; subclasses define `_expire(entry, now)`.
+    `held_bytes`; subclasses define `_expire(entry)`.
     """
 
     def __init__(self, sim, capacity, lifetime_us, counters, on_drop, arena):
@@ -112,14 +112,14 @@ class DeadlineTable:
         del self.entries[entry.key]
         self.arena.free(entry.held_bytes)
 
-    def expire_due(self, now):
+    def expire_due(self):
         """Evict the entries past their deadline, earliest first."""
-        entries = self.entries
+        entries, now = self.entries, self.sim.now
         while entries:
             entry = next(iter(entries.values()))
             if now <= entry.deadline:
                 return
-            self._expire(entry, now)
+            self._expire(entry)
 
     def _arm(self):
         """Schedule the expiry event unless one is pending.  A pending one
@@ -131,7 +131,7 @@ class DeadlineTable:
 
     def _fire(self):
         self._armed = False
-        self.expire_due(self.sim.now)
+        self.expire_due()
         self._arm()
 
 
@@ -143,29 +143,29 @@ class ReassemblyBuffer(DeadlineTable):
     their upstream node issued 65,536 tags while the entry was live; they
     then mix, and the sink reports the datagram "corrupted in transit"."""
 
-    def _expire(self, entry, now):
+    def _expire(self, entry):
         self.remove(entry)
         self.counters.rbuf_timeout += 1
         if not entry.has_first:
             self.counters.rbuf_timeout_no_first += 1
-        self.on_drop(entry.dgram_id, "rbuf_timeout", now)
+        self.on_drop(entry.dgram_id, "rbuf_timeout")
 
-    def insert(self, key, offset, payload, now, dgram_id):
+    def insert(self, key, offset, payload, dgram_id):
         """Insert a fragment; returns the datagram bytes once complete,
         else None (stored, or dropped with its cause reported)."""
         entry = self.entries.get(key)
         if entry is None:
             if self.full():
                 self.counters.rbuf_full += 1
-                self.on_drop(dgram_id, "rbuf_full", now)
+                self.on_drop(dgram_id, "rbuf_full")
                 return None
-            entry = _Entry(key, dgram_id, now + self.lifetime_us)
+            entry = _Entry(key, dgram_id, self.sim.now + self.lifetime_us)
             self.entries[key] = entry
         n = len(payload)
         if not self.arena.alloc(n):
             self.remove(entry)
             self.counters.pktbuf_full += 1
-            self.on_drop(entry.dgram_id, "pktbuf_full", now)
+            self.on_drop(entry.dgram_id, "pktbuf_full")
             return None
         entry.data[offset:offset + n] = payload
         entry.held_bytes += n

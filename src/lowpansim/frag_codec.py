@@ -101,9 +101,6 @@ class Fragment(namedtuple("Fragment",
                   else FRAGN_HEADER_LEN)
         return tuple.__new__(cls, (header, payload, comp_size, n))
 
-    def __getnewargs__(self):            # pickle and copy rebuild from these
-        return self[:3]
-
     @property
     def offset(self):
         """Byte offset of this fragment's coverage in the datagram."""

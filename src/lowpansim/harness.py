@@ -76,11 +76,15 @@ def _int_list(name, value, allowed=None):
     return tuple(value)
 
 
-def _payloads(name, value):
-    payloads = _int_list(name, value, allowed=STUDY_PAYLOADS)
-    if len(set(payloads)) != len(payloads):
-        raise ScenarioError("%s must not list a size twice" % name)
-    return payloads
+def _distinct(allowed=None):
+    """A non-empty list of integers, none listed twice: a repeated value
+    would count one simulation twice."""
+    def check(name, value):
+        values = _int_list(name, value, allowed)
+        if len(set(values)) != len(values):
+            raise ScenarioError("%s must not list a value twice" % name)
+        return values
+    return check
 
 
 def _text(name, value):
@@ -147,10 +151,10 @@ _REQUIRED = object()        # a default saying the scenario file must give it
 _SCHEMA = (
     ("topology", _text, _REQUIRED),
     ("strategy", _strategy, _REQUIRED),
-    ("payloads", _payloads, _REQUIRED),
+    ("payloads", _distinct(STUDY_PAYLOADS), _REQUIRED),
     ("interval_us", _interval, _REQUIRED),
     ("packets_per_source", _int(1), 100),
-    ("seeds", _int_list, _REQUIRED),
+    ("seeds", _distinct(), _REQUIRED),
     ("rbuf_entries", _ENTRIES, 1),          # per node; the sink has its own
     ("sink_rbuf_entries", _ENTRIES, 16),
     ("vrb_entries", _ENTRIES, 16),
@@ -363,13 +367,13 @@ def _check_routes(mac, dst, recs, routes, strays):
     None there.  A frame on its route leaves nothing behind."""
     orig = mac.on_deliver
 
-    def tap(frame, now):
+    def tap(frame):
         rec = recs.get(frame.dgram_id)
         if rec is None:
             strays[frame.dgram_id] = None
         elif (frame.src, dst) not in routes[rec.source]:
             strays.setdefault(frame.dgram_id, set()).add((frame.src, dst))
-        orig(frame, now)
+        orig(frame)
 
     mac.on_deliver = tap
 
@@ -382,7 +386,7 @@ def _simulate(scenario, topo, seed, payload):
     recs = {}
     violations = []
 
-    def on_datagram(dgram_id, data, now):
+    def on_datagram(dgram_id, data):
         rec = recs.get(dgram_id)
         if rec is None:
             violations.append("delivery of unknown datagram %d" % dgram_id)
@@ -395,9 +399,9 @@ def _simulate(scenario, topo, seed, payload):
                               % (dgram_id, rec.cause))
         if data != build_datagram(rec.source, dgram_id, payload):
             violations.append("datagram %d corrupted in transit" % dgram_id)
-        rec.delivered_at = now
+        rec.delivered_at = sim.now
 
-    def on_drop(dgram_id, cause, now):
+    def on_drop(dgram_id, cause):
         rec = recs.get(dgram_id)
         if rec is None:
             violations.append("drop (%s) of unknown datagram %d"
@@ -405,7 +409,7 @@ def _simulate(scenario, topo, seed, payload):
             return
         if rec.delivered_at is None and rec.cause is None:
             rec.cause = cause
-            rec.cause_at = now
+            rec.cause_at = sim.now
 
     nodes = {}
     for nid in topo.members:
@@ -515,16 +519,14 @@ def worker_count(jobs, tasks):
 def run_one(scenario, topo, jobs=None):
     """Every simulation of `scenario`, as {seed: results in payload order}.
 
-    A repeated seed is simulated once.  With more than one worker the
-    simulations run in a pool of forked processes, largest payload first
-    so that the longest ones do not come last.  Each seeds its own RNG and
-    results are gathered in task order, so they do not depend on the
-    worker count.
+    With more than one worker the simulations run in a pool of forked
+    processes, largest payload first so that the longest ones do not come
+    last.  Each seeds its own RNG and results are gathered in task order,
+    so they do not depend on the worker count.
     """
-    seeds = list(dict.fromkeys(scenario.seeds))
     tasks = [(seed, payload)
              for payload in sorted(scenario.payloads, reverse=True)
-             for seed in seeds]
+             for seed in scenario.seeds]
     args = (repeat(scenario, len(tasks)), repeat(topo, len(tasks)),
             *zip(*tasks))
     workers = worker_count(jobs, len(tasks))
@@ -539,7 +541,7 @@ def run_one(scenario, topo, jobs=None):
             results = list(pool.map(_simulate, *args))
     by_task = dict(zip(tasks, results))
     return {seed: [by_task[seed, payload] for payload in scenario.payloads]
-            for seed in seeds}
+            for seed in scenario.seeds}
 
 
 def _scenario_block(scenario, fingerprint, topo_sha, run_index, seed):

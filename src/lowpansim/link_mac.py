@@ -70,8 +70,9 @@ class Frame(NamedTuple):
 class Mac:
     """Per-node MAC entity; the medium reaches it through its links.
 
-    `on_deliver(frame, now)` receives each frame that arrived intact and
-    was acked; `on_frame_done(frame, ok, cause)` ends each frame sent.
+    `on_deliver(frame)` receives each frame that arrived intact and was
+    acked; `on_frame_done(frame, cause)` ends each frame sent, with a cause
+    of None when it was delivered.
     The frame buffer is taken by `current_rx` from a frame's start, when
     the medium sets it, to its end, when `reception_ended` clears it; an
     intact frame then holds it by `rx_held` until the `_rx_release` event,
@@ -138,10 +139,9 @@ class Mac:
     # -- send path ----------------------------------------------------------
 
     def send(self, frame):
-        now = self.sim.now
         if not self.arena.alloc(self.wire_size(frame)):
             self.counters.pktbuf_full += 1
-            self.on_frame_done(frame, False, "pktbuf_full")
+            self.on_frame_done(frame, "pktbuf_full")
             return
         if self.current is None and not self.queue and not self._transceiver_busy():
             self._start_job(frame)
@@ -150,13 +150,14 @@ class Mac:
         if cap is not None and len(self.queue) >= cap:
             self.counters.queue_drops += 1
             self.arena.free(self.wire_size(frame))
-            self.on_frame_done(frame, False, "queue_drop")
+            self.on_frame_done(frame, "queue_drop")
             return
         self.queue.append(frame)
         if self.current is None:
-            self._schedule_service(now)
+            self._schedule_service()
 
-    def _schedule_service(self, now):
+    def _schedule_service(self):
+        now = self.sim.now
         t = max(now, min(self._busy_end(), now + self.params.queue_retry_us))
         if self._service_at is not None and self._service_at <= t:
             return
@@ -171,7 +172,7 @@ class Mac:
         if self.current is not None or not self.queue:
             return
         if self._transceiver_busy():
-            self._schedule_service(self.sim.now)
+            self._schedule_service()
             return
         self._start_job(self.queue.popleft())
 
@@ -217,26 +218,25 @@ class Mac:
                 continue
             sim.at(sim.now + CCA_DUR_US, next, job, None)
             yield
-            now = sim.now
-            self.tx_until = t1 = now + airtime
+            self.tx_until = t1 = sim.now + airtime
             counters.frames_sent += 1
             if self.current_rx is not None:
                 # Committed to transmit during the CCA turnaround while a
                 # frame was arriving: reception is aborted.
                 self.current_rx.destroyed = True
-            opened = self.medium.begin_tx(self, frame, now, t1)
+            opened = self.medium.begin_tx(self, frame)
             sim.at(t1, next, job, None)
             yield
             if opened is not None:
                 dest, rx = opened
                 if dest.reception_ended(rx):
-                    self._finish_job(frame, size, True, None)
-                    dest.on_deliver(frame, sim.now)
+                    self._finish_job(frame, size, None)
+                    dest.on_deliver(frame)
                     return
-        self._finish_job(frame, size, False, "retrans_exhausted")
+        self._finish_job(frame, size, "retrans_exhausted")
 
-    def _finish_job(self, frame, size, ok, cause):
+    def _finish_job(self, frame, size, cause):
         self.current = None
         self.arena.free(size)
-        self.on_frame_done(frame, ok, cause)
+        self.on_frame_done(frame, cause)
         self._try_service()

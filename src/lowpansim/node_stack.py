@@ -92,8 +92,6 @@ class Node:
         self.arena = PacketArena(self.stack.arena_bytes)
         self.mac = Mac(config.id, sim, medium, mac_params, self.counters,
                        self.arena, self._on_deliver, self._on_frame_done)
-        self.sdu = mac_params.sdu
-        self.comp = stack.comp_header_bytes
         self.strategy = STRATEGIES[config.strategy]
         self.tags = TagAllocator()
         self.rbuf = ReassemblyBuffer(sim, config.rbuf_entries,
@@ -117,19 +115,19 @@ class Node:
         if (len(self.jobs) >= self.stack.frag_buffer_slots
                 or self.tags.full()):
             self.counters.frag_buf_full += 1
-            self.on_drop(dgram_id, "frag_buf_full", self.sim.now)
+            self.on_drop(dgram_id, "frag_buf_full")
             return False
         tag = self.tags.acquire()
-        frags = fragment_datagram(datagram, self.comp, tag, self.sdu,
-                                  self.strategy.policy)
+        frags = fragment_datagram(datagram, self.stack.comp_header_bytes, tag,
+                                  self.mac.params.sdu, self.strategy.policy)
         self.jobs[tag] = len(frags)
         for frag in frags:
             self.mac.send(Frame(me, next_hop, frag, dgram_id, tag))
         return True
 
-    def _on_frame_done(self, frame, ok, cause):
-        if not ok:
-            self.on_drop(frame.dgram_id, cause, self.sim.now)
+    def _on_frame_done(self, frame, cause):
+        if cause is not None:
+            self.on_drop(frame.dgram_id, cause)
         tag = frame.job
         if tag is not None:
             self.jobs[tag] -= 1
@@ -139,17 +137,16 @@ class Node:
 
     # -- receiving ------------------------------------------------------
 
-    def _on_deliver(self, frame, now):
+    def _on_deliver(self, frame):
         sim = self.sim
         sim.at(sim.now + self.stack.proc_delay_us, self._process, frame)
 
     def _process(self, frame):
-        now = self.sim.now
         frag = frame.fragment
         header = frag.header
         if header is None:
             if self.config.route_next_hop is None:
-                self._deliver_up(frame.dgram_id, frag.payload, now)
+                self._deliver_up(frame.dgram_id, frag.payload)
             else:
                 self.counters.datagrams_forwarded += 1
                 self.mac.send(Frame(self.config.id,
@@ -159,33 +156,32 @@ class Node:
         key = DatagramKey(frame.src, frame.dst, header.datagram_size,
                           header.datagram_tag)
         if self.config.route_next_hop is None or self.strategy.reassemble:
-            self._reassemble_step(key, frag, frame.dgram_id, now)
+            self._reassemble_step(key, frag, frame.dgram_id)
         elif isinstance(header, Frag1Header):
-            self._ff_first(key, frag, frame.dgram_id, now)
+            self._ff_first(key, frag, frame.dgram_id)
         else:
-            self._ff_rest(key, frag, frame.dgram_id, now)
+            self._ff_rest(key, frag, frame.dgram_id)
 
-    def _deliver_up(self, dgram_id, datagram, now):
+    def _deliver_up(self, dgram_id, datagram):
         self.counters.datagrams_delivered += 1
-        self.on_datagram(dgram_id, bytes(datagram), now)
+        self.on_datagram(dgram_id, bytes(datagram))
 
-    def _reassemble_step(self, key, frag, dgram_id, now):
-        datagram = self.rbuf.insert(key, frag.offset, frag.payload, now,
-                                    dgram_id)
+    def _reassemble_step(self, key, frag, dgram_id):
+        datagram = self.rbuf.insert(key, frag.offset, frag.payload, dgram_id)
         if datagram is None:
             return
         if self.config.route_next_hop is None:
-            self._deliver_up(dgram_id, datagram, now)
+            self._deliver_up(dgram_id, datagram)
         else:
             self.counters.datagrams_forwarded += 1
             self._send_fragments(datagram, dgram_id)
 
     # -- fragment forwarding ---------------------------------------------
 
-    def _ff_first(self, key, frag, dgram_id, now):
-        entry = self.vrb.create(key, now, dgram_id)
+    def _ff_first(self, key, frag, dgram_id):
+        entry = self.vrb.create(key, dgram_id)
         if entry is None:                # table full: reassemble instead
-            self._reassemble_step(key, frag, dgram_id, now)
+            self._reassemble_step(key, frag, dgram_id)
             return
         entry.covered_bytes = len(frag.payload)
         out, = refragment_first(frag, entry.out_tag)
@@ -193,10 +189,10 @@ class Node:
             self.counters.datagrams_forwarded += 1
         self._vrb_emit(entry, out, dgram_id)
 
-    def _ff_rest(self, key, frag, dgram_id, now):
+    def _ff_rest(self, key, frag, dgram_id):
         entry = self.vrb.lookup(key)
         if entry is None:                # no VRB entry: reassemble instead
-            self._reassemble_step(key, frag, dgram_id, now)
+            self._reassemble_step(key, frag, dgram_id)
             return
         header = frag.header
         out = Fragment(FragNHeader(header.datagram_size, entry.out_tag,

@@ -2,10 +2,11 @@
 
 All times are integer microseconds to avoid floating-point drift.  Events at
 the same instant run in scheduling order, so a run is a pure function of
-(scenario, seed).  `Simulator.at` is the one way to schedule an event; a
-delay d from now is `at(now + d, ...)`.  One random.Random, owned by the
-simulator, serves every stochastic draw in a run; components must draw from
-it in event order only.
+(scenario, seed).  `Simulator.now` is the one clock: every component reads
+it, and none takes the time as an argument.  `Simulator.at` is the one way
+to schedule an event; a delay d from now is `at(now + d, ...)`.  One
+random.Random, owned by the simulator, serves every stochastic draw in a
+run; components must draw from it in event order only.
 
 Events scheduled before `run()` starts (a harness's whole send plan) form a
 sorted agenda; only its next entry waits in the heap, under its original
@@ -92,10 +93,10 @@ class Medium:
     """Single shared channel with per-link PDR and collision semantics;
     `links[node_id]` maps each neighbour's id to its (mac, pdr)."""
 
-    __slots__ = ("rng", "links")
+    __slots__ = ("sim", "links")
 
     def __init__(self, sim):
-        self.rng = sim.rng
+        self.sim = sim
         self.links = {}
 
     def add_link(self, a, b, pdr):
@@ -103,14 +104,16 @@ class Medium:
         self.links.setdefault(a.node_id, {})[b.node_id] = (b, pdr)
         self.links.setdefault(b.node_id, {})[a.node_id] = (a, pdr)
 
-    def begin_tx(self, sender, frame, t0, t1):
-        """Account a transmission over [t0, t1) at every in-range node;
-        return (dest_mac, rx), the reception opened at the destination (a
-        neighbor, on a route edge), or None if the frame is lost at once."""
+    def begin_tx(self, sender, frame):
+        """Account a transmission from now until the sender's tx_until at
+        every in-range node; return (dest_mac, rx), the reception opened at
+        the destination (a neighbor, on a route edge), or None if the frame
+        is lost at once."""
+        t0, t1 = self.sim.now, sender.tx_until
         links = self.links[sender.node_id]
         dest, pdr = links[frame.dst]
         opened = None
-        if pdr < 1.0 and self.rng.random() >= pdr:
+        if pdr < 1.0 and self.sim.rng.random() >= pdr:
             sender.counters.channel_losses += 1
         elif dest.tx_until > t0 or dest.rx_held:
             # Transmitting, or still holding an earlier reception.

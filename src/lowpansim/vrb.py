@@ -73,13 +73,13 @@ class VrbTable(DeadlineTable):
         super().remove(entry)
         self.allocator.release(entry.out_tag)
 
-    def _expire(self, entry, now):
+    def _expire(self, entry):
         self.remove(entry)
         self.counters.vrb_expired += 1
         if entry.queued:
-            self.on_drop(entry.dgram_id, "vrb_expired", now)
+            self.on_drop(entry.dgram_id, "vrb_expired")
 
-    def create(self, key, now, dgram_id):
+    def create(self, key, dgram_id):
         """New entry with a fresh out_tag, or None when the table or the
         tag space is full."""
         if key in self.entries:
@@ -88,7 +88,7 @@ class VrbTable(DeadlineTable):
             self.counters.vrb_full += 1
             return None
         entry = VrbEntry(key, self.allocator.acquire(),
-                         now + self.lifetime_us, dgram_id)
+                         self.sim.now + self.lifetime_us, dgram_id)
         self.entries[key] = entry
         self._arm()
         return entry
@@ -100,7 +100,7 @@ class VrbTable(DeadlineTable):
         if not self.arena.alloc(wire):
             self.counters.pktbuf_full += 1
             self.remove(entry)
-            self.on_drop(frame.dgram_id, "pktbuf_full", self.sim.now)
+            self.on_drop(frame.dgram_id, "pktbuf_full")
             return False
         entry.queued.append(frame)
         entry.held_bytes += wire

@@ -191,8 +191,8 @@ def _line_trace(strategy, payload):
         # Deep retry budget: the control asks about ordering, not loss.
         nodes[nid] = Node(cfg, sim, medium, MacParams(max_retransmissions=64),
                           StackParams(),
-                          on_datagram=lambda did, data, now: got.append(did),
-                          on_drop=lambda did, cause, now: None)
+                          on_datagram=lambda did, data: got.append(did),
+                          on_drop=lambda did, cause: None)
     medium.add_link(nodes[0].mac, nodes[1].mac, 1.0)
     medium.add_link(nodes[1].mac, nodes[2].mac, 1.0)
     order = {0: [], 1: []}
@@ -200,10 +200,10 @@ def _line_trace(strategy, payload):
         mac = nodes[nid].mac
         inner, seen = mac.on_deliver, order[nid]
 
-        def tap(frame, now, inner=inner, seen=seen):
+        def tap(frame, inner=inner, seen=seen):
             if frame.dgram_id not in seen:
                 seen.append(frame.dgram_id)
-            inner(frame, now)
+            inner(frame)
 
         mac.on_deliver = tap
     t = 0

@@ -29,8 +29,8 @@ sim = Simulator(seed=1)
 medium = Medium(sim)
 nodes = [Node(NodeConfig(id=i, route_next_hop=i + 1 if i < 2 else None,
                          strategy="FF"), sim, medium, MacParams(),
-              StackParams(), on_datagram=lambda did, data, now: None,
-              on_drop=lambda did, cause, now: None)
+              StackParams(), on_datagram=lambda did, data: None,
+              on_drop=lambda did, cause: None)
          for i in range(3)]
 for a, b in zip(nodes, nodes[1:]):
     medium.add_link(a.mac, b.mac, 1.0)

@@ -29,7 +29,7 @@ def make_rbuf(capacity=1, arena=None, drops=None, sim=None):
                             lifetime_us=TIMEOUT,
                             arena=arena or PacketArena(None),
                             counters=counters,
-                            on_drop=lambda did, cause, now: sink.append((did, cause)))
+                            on_drop=lambda did, cause: sink.append((did, cause)))
     return rbuf, counters, sink
 
 
@@ -54,36 +54,44 @@ def test_memory_accounting_frozen_values():
 def test_out_of_order_completion():
     rbuf, counters, drops = make_rbuf()
     body = bytes(range(24))
-    assert rbuf.insert(KEY, 16, body[16:], now=0, dgram_id=1) is None
-    assert rbuf.insert(KEY, 8, body[8:16], now=10, dgram_id=1) is None
+    assert rbuf.insert(KEY, 16, body[16:], dgram_id=1) is None
+    rbuf.sim.now = 10
+    assert rbuf.insert(KEY, 8, body[8:16], dgram_id=1) is None
     assert rbuf.live_entries == 1
-    assert rbuf.insert(KEY, 0, body[:8], now=20, dgram_id=1) == body
+    rbuf.sim.now = 20
+    assert rbuf.insert(KEY, 0, body[:8], dgram_id=1) == body
     assert rbuf.live_entries == 0
     assert drops == []
 
 
 def test_rbuf_full_drops_new_key_without_eviction():
     rbuf, counters, drops = make_rbuf(capacity=1)
-    rbuf.insert(KEY, 0, b"x" * 8, now=0, dgram_id=1)
-    assert rbuf.insert(KEY2, 0, b"y" * 8, now=1, dgram_id=2) is None
+    rbuf.insert(KEY, 0, b"x" * 8, dgram_id=1)
+    rbuf.sim.now = 1
+    assert rbuf.insert(KEY2, 0, b"y" * 8, dgram_id=2) is None
     assert counters.rbuf_full == 1
     assert drops == [(2, "rbuf_full")]
     assert list(rbuf.entries) == [KEY]
     # The old entry is untouched (no aggressive override).
-    rbuf.insert(KEY, 8, b"x" * 8, now=2, dgram_id=1)
+    rbuf.sim.now = 2
+    rbuf.insert(KEY, 8, b"x" * 8, dgram_id=1)
     assert rbuf.entries[KEY].held_bytes == 16
 
 
 def test_expiry_is_strict_and_flags_missing_first_fragment():
     rbuf, counters, drops = make_rbuf(capacity=4)
-    rbuf.insert(KEY, 8, b"z" * 8, now=0, dgram_id=1)     # no first fragment
-    rbuf.insert(KEY2, 0, b"z" * 8, now=1, dgram_id=2)    # has first fragment
-    rbuf.expire_due(TIMEOUT)                             # boundary: retained
+    rbuf.insert(KEY, 8, b"z" * 8, dgram_id=1)            # no first fragment
+    rbuf.sim.now = 1
+    rbuf.insert(KEY2, 0, b"z" * 8, dgram_id=2)           # has first fragment
+    rbuf.sim.now = TIMEOUT
+    rbuf.expire_due()                                    # boundary: retained
     assert rbuf.live_entries == 2
-    rbuf.expire_due(TIMEOUT + 1)
+    rbuf.sim.now = TIMEOUT + 1
+    rbuf.expire_due()
     assert list(rbuf.entries) == [KEY2]
     assert (counters.rbuf_timeout, counters.rbuf_timeout_no_first) == (1, 1)
-    rbuf.expire_due(TIMEOUT + 2)
+    rbuf.sim.now = TIMEOUT + 2
+    rbuf.expire_due()
     assert (counters.rbuf_timeout, counters.rbuf_timeout_no_first) == (2, 1)
     assert drops == [(1, "rbuf_timeout"), (2, "rbuf_timeout")]
     assert rbuf.live_entries == 0
@@ -92,8 +100,9 @@ def test_expiry_is_strict_and_flags_missing_first_fragment():
 def test_completion_wins_at_the_deadline():
     rbuf, counters, _ = make_rbuf()
     body = bytes(range(24))
-    rbuf.insert(KEY, 0, body[:16], now=0, dgram_id=1)
-    assert rbuf.insert(KEY, 16, body[16:], now=TIMEOUT, dgram_id=1) == body
+    rbuf.insert(KEY, 0, body[:16], dgram_id=1)
+    rbuf.sim.now = TIMEOUT
+    assert rbuf.insert(KEY, 16, body[16:], dgram_id=1) == body
     assert counters.rbuf_timeout == 0
 
 
@@ -102,10 +111,10 @@ def test_lazy_eviction_frees_slot_for_new_key():
     # next new key is stored instead of dropped as rbuf_full.
     sim = Simulator()
     rbuf, counters, _ = make_rbuf(capacity=1, sim=sim)
-    rbuf.insert(KEY, 0, b"x" * 8, now=0, dgram_id=1)
+    rbuf.insert(KEY, 0, b"x" * 8, dgram_id=1)
     sim.run()
     assert sim.now == TIMEOUT + 1 and rbuf.live_entries == 0
-    rbuf.insert(KEY2, 0, b"y" * 8, now=sim.now, dgram_id=2)
+    rbuf.insert(KEY2, 0, b"y" * 8, dgram_id=2)
     assert list(rbuf.entries) == [KEY2]
     assert counters.rbuf_timeout == 1
     assert counters.rbuf_full == 0
@@ -127,9 +136,10 @@ def test_arena_accounting_and_high_water():
 def test_arena_exhaustion_drops_datagram_and_frees_bytes():
     arena = PacketArena(capacity=16)
     rbuf, counters, drops = make_rbuf(capacity=4, arena=arena)
-    rbuf.insert(KEY, 0, b"x" * 8, now=0, dgram_id=1)
+    rbuf.insert(KEY, 0, b"x" * 8, dgram_id=1)
     assert arena.used == 8
-    assert rbuf.insert(KEY, 8, b"x" * 12, now=1, dgram_id=1) is None
+    rbuf.sim.now = 1
+    assert rbuf.insert(KEY, 8, b"x" * 12, dgram_id=1) is None
     assert counters.pktbuf_full == 1
     assert drops == [(1, "pktbuf_full")]
     assert rbuf.live_entries == 0
@@ -141,15 +151,15 @@ def test_entries_expire_through_the_tables_own_event():
     # microsecond after the deadline, and report the doomed datagrams.
     sim = Simulator()
     drops, probes = [], []
-    note = lambda did, cause, now: drops.append((did, cause, now))
+    note = lambda did, cause: drops.append((did, cause, sim.now))
     rbuf = ReassemblyBuffer(sim, 4, TIMEOUT, NodeCounters(), on_drop=note,
                             arena=PacketArena(None))
     vrb = VrbTable(sim, 4, TIMEOUT, NodeCounters(), TagAllocator(),
                    on_drop=note, arena=PacketArena(None))
 
     def store():
-        rbuf.insert(KEY, 8, b"z" * 8, sim.now, dgram_id=1)
-        entry = vrb.create(KEY2, now=sim.now, dgram_id=2)
+        rbuf.insert(KEY, 8, b"z" * 8, dgram_id=1)
+        entry = vrb.create(KEY2, dgram_id=2)
         vrb.enqueue(entry, Frame(4, 2, None, 2), 60)
 
     def probe():
@@ -173,19 +183,19 @@ def test_access_scheduled_before_the_expiry_event_finds_the_entry():
     # left, once.
     sim = Simulator()
     drops, seen = [], []
-    note = lambda did, cause, now: drops.append((did, cause, now))
+    note = lambda did, cause: drops.append((did, cause, sim.now))
     rbuf = ReassemblyBuffer(sim, 4, TIMEOUT, NodeCounters(), on_drop=note,
                             arena=PacketArena(None))
     vrb = VrbTable(sim, 4, TIMEOUT, NodeCounters(), TagAllocator(),
                    on_drop=note, arena=PacketArena(None))
 
     def access():
-        seen.append(rbuf.insert(KEY, 8, b"b" * 16, sim.now, dgram_id=1))
+        seen.append(rbuf.insert(KEY, 8, b"b" * 16, dgram_id=1))
         seen.append(vrb.lookup(KEY2))
 
     sim.at(TIMEOUT + 1, access)
-    rbuf.insert(KEY, 0, b"a" * 8, 0, dgram_id=1)
-    entry = vrb.create(KEY2, now=0, dgram_id=2)
+    rbuf.insert(KEY, 0, b"a" * 8, dgram_id=1)
+    entry = vrb.create(KEY2, dgram_id=2)
     vrb.enqueue(entry, Frame(4, 2, None, 2), 60)
     sim.run()
     assert seen == [b"a" * 8 + b"b" * 16, entry]
@@ -199,9 +209,9 @@ def test_one_expiry_event_serves_entries_in_deadline_order():
     sim = Simulator()
     drops = []
     rbuf, counters, _ = make_rbuf(capacity=4, sim=sim)
-    rbuf.on_drop = lambda did, cause, now: drops.append((did, now))
-    sim.at(0, rbuf.insert, KEY, 8, b"z" * 8, 0, 1)
-    sim.at(7, rbuf.insert, KEY2, 8, b"z" * 8, 7, 2)
+    rbuf.on_drop = lambda did, cause: drops.append((did, sim.now))
+    sim.at(0, rbuf.insert, KEY, 8, b"z" * 8, 1)
+    sim.at(7, rbuf.insert, KEY2, 8, b"z" * 8, 2)
     sim.run()
     assert sim._seq == 4                # two inserts, two expiry events
     assert drops == [(1, TIMEOUT + 1), (2, TIMEOUT + 8)]
@@ -233,7 +243,7 @@ def test_reassembly_matches_a_byte_set_oracle(case):
         span = set(range(offset, offset + len(payload)))
         duplicates += bool(span & covered)
         covered |= span
-        result = rbuf.insert(key, offset, payload, now=0, dgram_id=1)
+        result = rbuf.insert(key, offset, payload, dgram_id=1)
         if len(covered) == size:
             break
         assert result is None

@@ -168,6 +168,15 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     assert err.startswith("error: force_link_pdr") and "Traceback" not in err
     assert len(err.splitlines()) == 1
 
+    # A repeated seed would fold one simulation into the aggregate twice.
+    scn = write_scenario(tmp_path, line_topology(3), seeds=[1, 1])
+    out = tmp_path / "repeated"
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seeds") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
     # A topology where every member is the sink or one hop from it has no
     # datagram to send.
     scn = write_scenario(tmp_path, line_topology(2))

@@ -41,10 +41,11 @@ class Rig:
             self.medium.add_link(self.macs[a], self.macs[b], 1.0)
 
     def _deliver(self, i):
-        return lambda frame, now: self.delivered.append((i, frame, now))
+        return lambda frame: self.delivered.append((i, frame, self.sim.now))
 
     def _done(self, i):
-        return lambda frame, ok, cause: self.done.append((i, frame, ok, cause))
+        return lambda frame, cause: self.done.append(
+            (i, frame, cause is None, cause))
 
 
 def test_airtime_of_full_frame():
@@ -229,15 +230,14 @@ def _past_handover_end(schedule):
 def _transmit(rig, mac, frame):
     """Put `frame` on the air from `mac` right now, as the MAC's transmit
     step does, and deliver it at the end if it arrived intact."""
-    t0 = rig.sim.now
-    mac.tx_until = t1 = t0 + airtime_us(mac.wire_size(frame))
-    opened = rig.medium.begin_tx(mac, frame, t0, t1)
+    mac.tx_until = t1 = rig.sim.now + airtime_us(mac.wire_size(frame))
+    opened = rig.medium.begin_tx(mac, frame)
 
     def end():
         if opened is not None:
             dest, rx = opened
             if dest.reception_ended(rx):
-                dest.on_deliver(frame, rig.sim.now)
+                dest.on_deliver(frame)
     rig.sim.at(t1, end)
 
 

@@ -134,13 +134,13 @@ def checked_invariants():
             mac.node_id)
         start_job(mac, frame)
 
-    def checked_finish_job(mac, frame, size, ok, cause):
+    def checked_finish_job(mac, frame, size, cause):
         # A MAC with no job is never on the air, so its idle transceiver
         # checks need not look at tx_until.
         assert mac.tx_until <= mac.sim.now, (
             "node %d: job ended on the air until %d" % (mac.node_id,
                                                         mac.tx_until))
-        finish_job(mac, frame, size, ok, cause)
+        finish_job(mac, frame, size, cause)
 
     def checked_acquire(tags):
         live = len(tags.live)

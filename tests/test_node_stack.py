@@ -37,9 +37,9 @@ class Line:
                              route_next_hop=None if role == "sink" else i + 1,
                              strategy=strategy, rbuf_entries=16, vrb_entries=16)
             node = Node(cfg, self.sim, self.medium, mac, stack,
-                        on_datagram=lambda did, data, now: self.got.append(
-                            (did, data, now)),
-                        on_drop=lambda did, cause, now, i=i: self.drops.append(
+                        on_datagram=lambda did, data: self.got.append(
+                            (did, data, self.sim.now)),
+                        on_drop=lambda did, cause, i=i: self.drops.append(
                             (i, did, cause)))
             self.nodes.append(node)
         for a, b in zip(self.nodes, self.nodes[1:]):
@@ -56,9 +56,9 @@ class Line:
 def tap_deliveries(mac, log):
     inner = mac.on_deliver
 
-    def wrapped(frame, now):
-        log.append((frame.dgram_id, frame.fragment.offset, now))
-        inner(frame, now)
+    def wrapped(frame):
+        log.append((frame.dgram_id, frame.fragment.offset, mac.sim.now))
+        inner(frame)
 
     mac.on_deliver = wrapped
 
@@ -166,9 +166,9 @@ def test_ff_forwarder_tags_own_and_passing_datagrams_from_one_sequence():
     fwd.vrb.create = create_then_originate
     sink_rx, deliver = [], line.nodes[2].mac.on_deliver
 
-    def tagged_deliver(frame, now):
+    def tagged_deliver(frame):
         sink_rx.append((frame.dgram_id, frame.fragment.header.datagram_tag))
-        deliver(frame, now)
+        deliver(frame)
 
     line.nodes[2].mac.on_deliver = tagged_deliver
     line.send(272, 1)
@@ -200,7 +200,7 @@ def inject(line, frags, order, times, dgram_id=42):
     fwd = line.nodes[1]
     for idx, t in zip(order, times):
         frame = Frame(0, 1, frags[idx], dgram_id, None)
-        line.sim.at(t, partial(fwd.mac.on_deliver, frame, t))
+        line.sim.at(t, partial(fwd.mac.on_deliver, frame))
 
 
 def source_frags(payload=272, dgram_id=42):
@@ -243,9 +243,9 @@ def test_ff_tag_rewrite_keeps_content_len_of_fresh_fragments():
     sink_mac = line.nodes[2].mac
     inner = sink_mac.on_deliver
 
-    def tap(frame, now):
+    def tap(frame):
         sent.append(frame.fragment)
-        inner(frame, now)
+        inner(frame)
     sink_mac.on_deliver = tap
     inject(line, frags, range(len(frags)), range(0, 30000, 6000))
     line.run()
@@ -349,8 +349,8 @@ def test_job_holds_its_tag_and_slot_until_frames_left_after_drops_finish():
     held = []
     inner = src.mac.on_frame_done
 
-    def done(frame, ok, cause):
-        inner(frame, ok, cause)
+    def done(frame, cause):
+        inner(frame, cause)
         held.append((cause, dict(src.jobs), set(src.tags.live)))
     src.mac.on_frame_done = done
     line.send(272, 1, at=0)

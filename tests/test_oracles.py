@@ -1,4 +1,4 @@
-"""Single-path oracles: closed forms the model must meet.
+"""Oracles: closed forms the model must meet.
 
 On a 3-node line (sender 2, forwarder 1, sink 0) with serialized sends, no
 receive handover and unbounded tables, a datagram contends only with its
@@ -7,7 +7,9 @@ attempts with probability f = 1 - (1 - p)^4, so a datagram of k fragments
 arrives with probability f^(2k) when the forwarder sends only once the
 whole datagram has arrived (HWR, FF_QUEUED).  FF sends while fragments are
 still arriving and falls short of that.  On a lossless 6-node line, HWR's
-latency grows linearly with hop count and FF_QUEUED matches it.
+latency grows linearly with hop count and FF_QUEUED matches it.  Two
+hidden senders, driving the MAC and the medium directly, deliver both of
+their frames exactly when their backoff draws are far enough apart.
 
 Seeds are fixed, so every result is deterministic.  The bounds (4 standard
 deviations, 10 % and 1 %) were set before the results were seen; a failure
@@ -17,12 +19,18 @@ means the model moved, never that a bound should widen.
 import functools
 import math
 import statistics
+from fractions import Fraction
 
 import pytest
 
+from lowpansim.buffers import PacketArena
+from lowpansim.frag_codec import Fragment
 from lowpansim.harness import UNBOUNDED_ENTRIES, Scenario, _simulate
-from lowpansim.link_mac import MacParams
+from lowpansim.link_mac import (UNIT_BACKOFF_US, Frame, Mac, MacParams,
+                                airtime_us)
+from lowpansim.metrics import NodeCounters
 from lowpansim.node_stack import StackParams
+from lowpansim.sim_core import Medium, Simulator
 from test_harness import line_topology
 
 SEEDS = (1, 2, 3)
@@ -137,3 +145,55 @@ def test_lossless_line_direct_forwarding_retransmits_more(simulate):
     _, hwr = lossless_line(simulate, "HWR")
     _, ff = lossless_line(simulate, "FF")
     assert ff > hwr, (ff, hwr)
+
+
+# -- contention between two hidden senders --------------------------------
+
+# Frames of 124 wire bytes: 101 content bytes and the default 23 bytes of
+# link-layer overhead.
+HIDDEN_FRAME_BYTES = 124
+HIDDEN_SEEDS = range(1, 10_001)
+
+
+def hidden_pair_delivered(be, handover, seed):
+    """Senders 1 and 2, which cannot hear each other, each send one frame
+    to node 0 at t = 0 over lossless links, with one backoff of 1 << be
+    slots and a single attempt; return how many of the two arrive."""
+    params = MacParams(min_be=be, max_be=be, max_csma_backoffs=0,
+                       max_retransmissions=0, rx_handover_us=handover)
+    sim = Simulator(seed=seed)
+    medium = Medium(sim)
+    delivered = []
+    macs = [Mac(i, sim, medium, params, NodeCounters(), PacketArena(None),
+                on_deliver=delivered.append,
+                on_frame_done=lambda frame, cause: None)
+            for i in range(3)]
+    medium.add_link(macs[1], macs[0], 1.0)
+    medium.add_link(macs[2], macs[0], 1.0)
+    payload = bytes(HIDDEN_FRAME_BYTES - params.l2_overhead)
+    for i in (1, 2):
+        macs[i].send(Frame(i, 0, Fragment(None, payload), dgram_id=i))
+    sim.run()
+    return len(delivered)
+
+
+@pytest.mark.parametrize("handover", (0, 1000))
+@pytest.mark.parametrize("be", (4, 5, 6))
+def test_hidden_senders_both_arrive_with_closed_form_probability(be,
+                                                                 handover):
+    # Each sender draws one backoff of a uniform 0..N-1 slots, N = 1 << be,
+    # and then transmits after the CCA turnaround.  Neither hears the
+    # other, so the later frame reaches the receiver intact only if the
+    # earlier one has ended and its handover is over: both arrive exactly
+    # when the draws differ by at least g slots, g = ceil((airtime +
+    # handover) / slot), and P = sum over d = g..N-1 of 2 (N - d) / N^2.
+    n = 1 << be
+    gap = -(-(airtime_us(HIDDEN_FRAME_BYTES) + handover) // UNIT_BACKOFF_US)
+    expected = Fraction(sum(2 * (n - d) for d in range(gap, n)), n * n)
+    both = sum(hidden_pair_delivered(be, handover, seed) == 2
+               for seed in HIDDEN_SEEDS)
+    trials = len(HIDDEN_SEEDS)
+    # At be 4 with the handover no gap is wide enough: P and sd are 0.
+    sd = math.sqrt(expected * (1 - expected) / trials)
+    assert abs(both / trials - expected) <= 4 * sd, (
+        be, handover, both / trials, float(expected), sd)

@@ -192,14 +192,16 @@ def _intact(opened, dest, frame):
 def test_perfect_link_delivers():
     sim, medium, a, b = _mk_medium(pdr=1.0)
     f = _Frame(1, 2)
-    assert _intact(medium.begin_tx(a, f, 0, 100), b, f) is True
+    a.tx_until = 100
+    assert _intact(medium.begin_tx(a, f), b, f) is True
     assert b.rx_busy_until == 100
 
 
 def test_zero_pdr_never_delivers():
     sim, medium, a, b = _mk_medium(pdr=0.0)
     f = _Frame(1, 2)
-    assert medium.begin_tx(a, f, 0, 100) is None
+    a.tx_until = 100
+    assert medium.begin_tx(a, f) is None
     assert a.counters.channel_losses == 1
     # The frame was undecodable but the carrier still occupies the receiver.
     assert b.rx_busy_until == 100
@@ -209,7 +211,8 @@ def test_busy_receiver_loses_frame():
     sim, medium, a, b = _mk_medium()
     b.tx_until = 50  # destination transmitting until t=50
     f = _Frame(1, 2)
-    assert medium.begin_tx(a, f, 10, 110) is None
+    sim.now, a.tx_until = 10, 110
+    assert medium.begin_tx(a, f) is None
     assert b.counters.busy_losses == 1
 
 
@@ -221,8 +224,10 @@ def test_overlapping_transmissions_destroy_both():
     medium.add_link(b, c, 1.0)
     f1 = _Frame(1, 3)
     f2 = _Frame(2, 3)
-    opened = medium.begin_tx(a, f1, 0, 100)
-    assert medium.begin_tx(b, f2, 40, 140) is None   # receiver already busy
+    a.tx_until = 100
+    opened = medium.begin_tx(a, f1)
+    sim.now, b.tx_until = 40, 140
+    assert medium.begin_tx(b, f2) is None            # receiver already busy
     assert opened[1].destroyed is True              # destroyed mid-reception
     assert c.counters.collisions >= 1
 
@@ -244,9 +249,11 @@ def test_destroyed_reception_counts_a_collision_when_it_closes():
 def test_back_to_back_transmissions_do_not_collide():
     sim, medium, a, b = _mk_medium()
     f1, f2 = _Frame(1, 2), _Frame(1, 2)
-    assert _intact(medium.begin_tx(a, f1, 0, 100), b, f1) is True
+    a.tx_until = 100
+    assert _intact(medium.begin_tx(a, f1), b, f1) is True
     b.current_rx = None               # closed by b's MAC at t=100
-    assert _intact(medium.begin_tx(a, f2, 100, 200), b, f2) is True
+    sim.now, a.tx_until = 100, 200
+    assert _intact(medium.begin_tx(a, f2), b, f2) is True
 
 
 def test_link_pdr_monte_carlo():
@@ -256,7 +263,8 @@ def test_link_pdr_monte_carlo():
     t = 0
     for _ in range(n):
         f = _Frame(1, 2)
-        if _intact(medium.begin_tx(a, f, t, t + 10), b, f):
+        sim.now, a.tx_until = t, t + 10
+        if _intact(medium.begin_tx(a, f), b, f):
             delivered += 1
         b.current_rx = None
         t += 20

@@ -17,7 +17,7 @@ def make_table(capacity=16, drops=None, arena=None, sim=None):
     table = VrbTable(sim or Simulator(), capacity=capacity,
                      lifetime_us=LIFETIME, counters=counters,
                      allocator=TagAllocator(),
-                     on_drop=lambda did, cause, now: sink.append((did, cause)),
+                     on_drop=lambda did, cause: sink.append((did, cause)),
                      arena=arena or PacketArena(None))
     return table, counters, sink
 
@@ -28,7 +28,7 @@ def key(tag, src=9):
 
 def test_create_and_lookup():
     table, counters, _ = make_table()
-    entry = table.create(key(5), now=0, dgram_id=1)
+    entry = table.create(key(5), dgram_id=1)
     assert entry is not None
     assert table.lookup(key(5)) is entry
     assert table.lookup(key(6)) is None
@@ -37,16 +37,17 @@ def test_create_and_lookup():
 
 def test_duplicate_create_is_an_error():
     table, _, _ = make_table()
-    table.create(key(5), now=0, dgram_id=1)
+    table.create(key(5), dgram_id=1)
+    table.sim.now = 1
     with pytest.raises(ValueError):
-        table.create(key(5), now=1, dgram_id=1)
+        table.create(key(5), dgram_id=1)
 
 
 def test_table_full_returns_none_and_counts():
     table, counters, _ = make_table(capacity=16)
     for i in range(16):
-        assert table.create(key(i), now=0, dgram_id=i) is not None
-    assert table.create(key(99), now=0, dgram_id=99) is None
+        assert table.create(key(i), dgram_id=i) is not None
+    assert table.create(key(99), dgram_id=99) is None
     assert counters.vrb_full == 1
     assert table.live_entries == 16
     # Live entries never share an out_tag.
@@ -57,7 +58,7 @@ def test_table_full_returns_none_and_counts():
 def test_expiry_is_strict_at_the_deadline():
     sim = Simulator()
     table, counters, _ = make_table(sim=sim)
-    table.create(key(5), now=0, dgram_id=1)
+    table.create(key(5), dgram_id=1)
     at_deadline = []
     sim.at(LIFETIME, lambda: at_deadline.append(table.lookup(key(5))))
     sim.run()
@@ -71,21 +72,21 @@ def test_expiry_is_strict_at_the_deadline():
 def test_expired_entry_frees_a_slot():
     sim = Simulator()
     table, counters, _ = make_table(capacity=1, sim=sim)
-    table.create(key(5), now=0, dgram_id=1)
+    table.create(key(5), dgram_id=1)
     sim.run()
     assert sim.now == LIFETIME + 1
-    assert table.create(key(6), now=sim.now,
-                        dgram_id=2) is not None
+    assert table.create(key(6), dgram_id=2) is not None
     assert counters.vrb_expired == 1
     assert counters.vrb_full == 0
 
 
 def test_expire_due_drops_queued_fragments():
     table, counters, drops = make_table()
-    q = table.create(key(5), now=0, dgram_id=1)
+    q = table.create(key(5), dgram_id=1)
     q.queued.append("frame")
-    table.create(key(6), now=0, dgram_id=2)  # nothing queued
-    table.expire_due(LIFETIME + 1)
+    table.create(key(6), dgram_id=2)  # nothing queued
+    table.sim.now = LIFETIME + 1
+    table.expire_due()
     assert table.live_entries == 0
     assert counters.vrb_expired == 2
     # Only the entry holding undelivered fragments dooms its datagram.
@@ -94,9 +95,10 @@ def test_expire_due_drops_queued_fragments():
 
 def test_tag_release_on_expiry():
     table, _, _ = make_table()
-    e = table.create(key(5), now=0, dgram_id=1)
+    e = table.create(key(5), dgram_id=1)
     assert table.allocator.live == {e.out_tag}
-    table.expire_due(LIFETIME + 1)
+    table.sim.now = LIFETIME + 1
+    table.expire_due()
     assert not table.allocator.live
     assert e.out_tag is not None
 
@@ -106,7 +108,7 @@ def test_full_tag_space_counts_as_a_full_table():
     table.allocator = TagAllocator(tag_space=1)
     table.allocator.acquire()
     assert table.allocator.full()
-    assert table.create(key(5), now=0, dgram_id=1) is None
+    assert table.create(key(5), dgram_id=1) is None
     assert counters.vrb_full == 1
     assert table.live_entries == 0
     assert drops == []
@@ -127,7 +129,7 @@ def test_allocator_skips_live_tags_and_wraps():
 
 def test_remove_releases_slot_and_tag_silently():
     table, counters, drops = make_table(capacity=1)
-    entry = table.create(key(5), now=0, dgram_id=1)
+    entry = table.create(key(5), dgram_id=1)
     entry.queued.append("frame")
     table.remove(entry)
     assert table.live_entries == 0
@@ -135,7 +137,7 @@ def test_remove_releases_slot_and_tag_silently():
     assert counters.vrb_expired == 0
     assert drops == []
     # slot and tag are immediately reusable
-    again = table.create(key(6), now=0, dgram_id=2)
+    again = table.create(key(6), dgram_id=2)
     assert again is not None
     assert again.out_tag != entry.out_tag   # sequence still advances
 
@@ -147,11 +149,12 @@ def frame(dgram_id):
 def test_eviction_frees_queued_arena_charge():
     arena = PacketArena(None)
     table, counters, _ = make_table(capacity=4, arena=arena)
-    entry = table.create(key(5), now=0, dgram_id=1)
+    entry = table.create(key(5), dgram_id=1)
     assert table.enqueue(entry, frame(1), 100)
     assert table.enqueue(entry, frame(1), 200)
     assert arena.used == 300
-    table.expire_due(LIFETIME + 1)
+    table.sim.now = LIFETIME + 1
+    table.expire_due()
     assert arena.used == 0
     assert counters.vrb_expired == 1
 
@@ -159,7 +162,7 @@ def test_eviction_frees_queued_arena_charge():
 def test_remove_frees_the_whole_queued_charge():
     arena = PacketArena(None)
     table, _, drops = make_table(arena=arena)
-    entry = table.create(key(5), now=0, dgram_id=1)
+    entry = table.create(key(5), dgram_id=1)
     for wire in (127, 127, 60):
         assert table.enqueue(entry, frame(1), wire)
     table.remove(entry)
@@ -171,7 +174,7 @@ def test_remove_frees_the_whole_queued_charge():
 def test_enqueue_without_room_drops_entry_and_charge():
     arena = PacketArena(200)
     table, counters, drops = make_table(arena=arena)
-    entry = table.create(key(5), now=0, dgram_id=1)
+    entry = table.create(key(5), dgram_id=1)
     assert table.enqueue(entry, frame(1), 127)
     assert not table.enqueue(entry, frame(1), 127)
     assert counters.pktbuf_full == 1
