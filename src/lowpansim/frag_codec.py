@@ -29,6 +29,7 @@ Two fragmentation policies:
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from typing import NamedTuple
 
 FRAG1_DISPATCH = 0b11000
@@ -93,13 +94,12 @@ class Fragment(namedtuple("Fragment",
     __slots__ = ()
 
     def __new__(cls, header, payload, comp_size=None):
-        n = len(payload)
-        if comp_size is not None:
-            n += comp_size - HEADER_REGION
-        if header is not None:
-            n += (FRAG1_HEADER_LEN if isinstance(header, Frag1Header)
-                  else FRAGN_HEADER_LEN)
-        return tuple.__new__(cls, (header, payload, comp_size, n))
+        header_len = (0 if header is None
+                      else FRAG1_HEADER_LEN if isinstance(header, Frag1Header)
+                      else FRAGN_HEADER_LEN)
+        return tuple.__new__(cls, (header, payload, comp_size,
+                                   _content_len(header_len, len(payload),
+                                                comp_size)))
 
     @property
     def offset(self):
@@ -107,6 +107,14 @@ class Fragment(namedtuple("Fragment",
         if isinstance(self.header, FragNHeader):
             return self.header.offset_units * 8
         return 0
+
+
+def _content_len(header_len, payload_len, comp_size):
+    """A fragment's 6LoWPAN content in bytes: its fragment header plus its
+    payload on the wire, where a compressed header replaces the region."""
+    if comp_size is None:
+        return header_len + payload_len
+    return header_len + payload_len + comp_size - HEADER_REGION
 
 
 def _check_common(size, tag):
@@ -201,21 +209,39 @@ def fragment_count(size, comp, sdu, policy):
     return len(fragment_datagram(bytes(size), comp, 0, sdu, policy))
 
 
-def fragment_datagram(datagram, comp, tag, sdu, policy):
-    """Fragment a datagram; returns a list of Fragment in offset order."""
-    size = len(datagram)
+@lru_cache(maxsize=64)
+def _spans(size, comp, sdu, policy):
+    """Where a datagram of `size` bytes is cut: None if it travels in one
+    frame, else the first fragment's (end, content_len) and each later
+    fragment's (offset_units, start, end, content_len), in offset order.
+    Validated once per geometry; a run cuts a handful of them."""
     _validate(size, comp, sdu, policy)
     first = _first_coverage(size, comp, sdu, policy)
     if first < 0:
-        return [Fragment(None, datagram, comp)]
-    frags = [Fragment(Frag1Header(size, tag), datagram[:first], comp)]
+        return None
     capacity = _floor8(sdu - FRAGN_HEADER_LEN)
-    pos = first
-    while pos < size:
-        take = min(capacity, size - pos)
-        frags.append(Fragment(FragNHeader(size, tag, pos // 8),
-                              datagram[pos:pos + take]))
-        pos += take
+    rest = []
+    for start in range(first, size, capacity):
+        end = min(start + capacity, size)
+        rest.append((start // 8, start, end,
+                     _content_len(FRAGN_HEADER_LEN, end - start, None)))
+    return ((first, _content_len(FRAG1_HEADER_LEN, first, comp)),
+            tuple(rest))
+
+
+def fragment_datagram(datagram, comp, tag, sdu, policy):
+    """Fragment a datagram; returns a list of Fragment in offset order."""
+    size = len(datagram)
+    spans = _spans(size, comp, sdu, policy)
+    if spans is None:
+        return [Fragment(None, datagram, comp)]
+    (first, n), rest = spans
+    new = tuple.__new__     # fields known: skip Fragment.__new__'s sums
+    frags = [new(Fragment, (new(Frag1Header, (size, tag)), datagram[:first],
+                            comp, n))]
+    for units, start, end, n in rest:
+        frags.append(new(Fragment, (new(FragNHeader, (size, tag, units)),
+                                    datagram[start:end], None, n)))
     return frags
 
 

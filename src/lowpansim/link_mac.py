@@ -82,7 +82,7 @@ class Mac:
     __slots__ = ("node_id", "sim", "medium", "params", "counters", "arena",
                  "on_deliver", "on_frame_done", "queue", "current",
                  "tx_until", "rx_busy_until", "rx_hold_until", "current_rx",
-                 "rx_held", "_service_at")
+                 "rx_held", "_service_at", "_release")
 
     def __init__(self, node_id, sim, medium, params, counters, arena,
                  on_deliver, on_frame_done):
@@ -102,19 +102,20 @@ class Mac:
         self.current_rx = None
         self.rx_held = False
         self._service_at = None
+        self._release = self._rx_release    # scheduled once per frame
 
     # -- helpers ------------------------------------------------------------
 
     def wire_size(self, frame):
         return self.params.l2_overhead + frame.fragment.content_len
 
-    # These two run only while no job is current, and a job ends when its
-    # airtime does, so the MAC is never on the air then.
-    def _transceiver_busy(self):
-        # Carrier overheard from elsewhere (rx_busy_until with no frame of
-        # ours arriving) is not transceiver business; CCA deals with it.
-        return self.current_rx is not None or self.rx_held
-
+    # The transceiver is busy while a frame for us arrives (current_rx) or
+    # is held (rx_held).  Carrier overheard from elsewhere (rx_busy_until
+    # with no frame of ours arriving) is not transceiver business; CCA
+    # deals with it.  `send` and `_try_service` test this, and
+    # `_schedule_service` waits for `_busy_end`, only while no job is
+    # current; a job ends when its airtime does, so the MAC is never on the
+    # air then.
     def _busy_end(self):
         return max(self.rx_busy_until, self.rx_hold_until)
 
@@ -129,27 +130,30 @@ class Mac:
         if hold > 0:
             self.rx_held = True
             self.rx_hold_until = self.sim.now + hold
-            self.sim.at(self.rx_hold_until, self._rx_release)
+            self.sim.at(self.rx_hold_until, self._release)
         return True
 
     def _rx_release(self):
         self.rx_held = False
-        self._try_service()
+        if self.queue:
+            self._try_service()
 
     # -- send path ----------------------------------------------------------
 
     def send(self, frame):
-        if not self.arena.alloc(self.wire_size(frame)):
+        size = self.wire_size(frame)
+        if not self.arena.alloc(size):
             self.counters.pktbuf_full += 1
             self.on_frame_done(frame, "pktbuf_full")
             return
-        if self.current is None and not self.queue and not self._transceiver_busy():
+        if (self.current is None and not self.queue
+                and self.current_rx is None and not self.rx_held):
             self._start_job(frame)
             return
         cap = self.params.queue_capacity
         if cap is not None and len(self.queue) >= cap:
             self.counters.queue_drops += 1
-            self.arena.free(self.wire_size(frame))
+            self.arena.free(size)
             self.on_frame_done(frame, "queue_drop")
             return
         self.queue.append(frame)
@@ -171,7 +175,7 @@ class Mac:
     def _try_service(self):
         if self.current is not None or not self.queue:
             return
-        if self._transceiver_busy():
+        if self.current_rx is not None or self.rx_held:
             self._schedule_service()
             return
         self._start_job(self.queue.popleft())
@@ -187,36 +191,39 @@ class Mac:
         coroutine `current` holds.  Each wait is an ordinary event that
         resumes it, `sim.at(t, next, job, None)` and then `yield`; `next`'s
         default lets the finished coroutine's last event end quietly."""
+        # What every wait and attempt reads is bound once, per frame.
         sim, params, counters = self.sim, self.params, self.counters
+        at, begin_tx = sim.at, self.medium.begin_tx
         job, getrandbits = self.current, sim.rng.getrandbits
         size = self.wire_size(frame)
         airtime = airtime_us(size)
+        min_be, max_be = params.min_be, params.max_be
         # Resends wait one ack timeout, after a missing ack or a channel
         # access failure alike, so attempts always advance time.
         for attempt in range(params.max_retransmissions + 1):
             if attempt:
                 counters.l2_retransmissions += 1
-                sim.at(sim.now + params.ack_timeout_us, next, job, None)
+                at(sim.now + params.ack_timeout_us, next, job, None)
                 yield
-            be = params.min_be
+            be = min_be
             for nb in range(params.max_csma_backoffs + 1):
                 # randrange(1 << be) as random.Random draws it: be + 1 bits,
                 # redrawn while bit be is set.  Same value, same stream.
                 slots = getrandbits(be + 1)
                 while slots >> be:
                     slots = getrandbits(be + 1)
-                sim.at(sim.now + slots * UNIT_BACKOFF_US, next, job, None)
+                at(sim.now + slots * UNIT_BACKOFF_US, next, job, None)
                 yield
                 # A frame sitting in the single buffer blocks our own
                 # transmit path exactly like an audibly busy channel would.
                 if not (self.current_rx is not None or self.rx_held
                         or self.rx_busy_until > sim.now):
                     break
-                be = min(be + 1, params.max_be)
+                be = be + 1 if be < max_be else max_be
             else:
                 counters.csma_failures += 1
                 continue
-            sim.at(sim.now + CCA_DUR_US, next, job, None)
+            at(sim.now + CCA_DUR_US, next, job, None)
             yield
             self.tx_until = t1 = sim.now + airtime
             counters.frames_sent += 1
@@ -224,8 +231,8 @@ class Mac:
                 # Committed to transmit during the CCA turnaround while a
                 # frame was arriving: reception is aborted.
                 self.current_rx.destroyed = True
-            opened = self.medium.begin_tx(self, frame)
-            sim.at(t1, next, job, None)
+            opened = begin_tx(self, frame)
+            at(t1, next, job, None)
             yield
             if opened is not None:
                 dest, rx = opened
@@ -239,4 +246,5 @@ class Mac:
         self.current = None
         self.arena.free(size)
         self.on_frame_done(frame, cause)
-        self._try_service()
+        if self.queue:
+            self._try_service()

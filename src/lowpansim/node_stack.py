@@ -101,6 +101,11 @@ class Node:
                             self.stack.vrb_lifetime_us, self.counters,
                             self.tags, on_drop, self.arena)
         self.jobs = {}       # each live fragmentation's tag -> frames in MAC
+        # Fixed for the run, and read for every frame received.
+        self._proc_delay = stack.proc_delay_us
+        self._process_frame = self._process
+        self._ff_forwarder = (config.route_next_hop is not None
+                              and not self.strategy.reassemble)
 
     # -- sending --------------------------------------------------------
 
@@ -121,8 +126,9 @@ class Node:
         frags = fragment_datagram(datagram, self.stack.comp_header_bytes, tag,
                                   self.mac.params.sdu, self.strategy.policy)
         self.jobs[tag] = len(frags)
+        send, new = self.mac.send, tuple.__new__
         for frag in frags:
-            self.mac.send(Frame(me, next_hop, frag, dgram_id, tag))
+            send(new(Frame, (me, next_hop, frag, dgram_id, tag)))
         return True
 
     def _on_frame_done(self, frame, cause):
@@ -139,28 +145,27 @@ class Node:
 
     def _on_deliver(self, frame):
         sim = self.sim
-        sim.at(sim.now + self.stack.proc_delay_us, self._process, frame)
+        sim.at(sim.now + self._proc_delay, self._process_frame, frame)
 
     def _process(self, frame):
-        frag = frame.fragment
-        header = frag.header
+        src, dst, frag, dgram_id, _ = frame
+        header = frag[0]
         if header is None:
             if self.config.route_next_hop is None:
-                self._deliver_up(frame.dgram_id, frag.payload)
+                self._deliver_up(dgram_id, frag.payload)
             else:
                 self.counters.datagrams_forwarded += 1
                 self.mac.send(Frame(self.config.id,
                                     self.config.route_next_hop,
-                                    frag, frame.dgram_id, None))
+                                    frag, dgram_id, None))
             return
-        key = DatagramKey(frame.src, frame.dst, header.datagram_size,
-                          header.datagram_tag)
-        if self.config.route_next_hop is None or self.strategy.reassemble:
-            self._reassemble_step(key, frag, frame.dgram_id)
-        elif isinstance(header, Frag1Header):
-            self._ff_first(key, frag, frame.dgram_id)
+        key = tuple.__new__(DatagramKey, (src, dst, header[0], header[1]))
+        if not self._ff_forwarder:
+            self._reassemble_step(key, frag, dgram_id)
+        elif type(header) is Frag1Header:
+            self._ff_first(key, frag, dgram_id)
         else:
-            self._ff_rest(key, frag, frame.dgram_id)
+            self._ff_rest(key, frag, dgram_id)
 
     def _deliver_up(self, dgram_id, datagram):
         self.counters.datagrams_delivered += 1
@@ -194,18 +199,22 @@ class Node:
         if entry is None:                # no VRB entry: reassemble instead
             self._reassemble_step(key, frag, dgram_id)
             return
-        header = frag.header
-        out = Fragment(FragNHeader(header.datagram_size, entry.out_tag,
-                                   header.offset_units), frag.payload)
-        entry.covered_bytes += len(frag.payload)
+        # Only the tag changes, so the content length carries over.
+        header, payload, comp_size, content_len = frag
+        new = tuple.__new__
+        out = new(Fragment, (new(FragNHeader, (header[0], entry.out_tag,
+                                               header[2])),
+                             payload, comp_size, content_len))
+        entry.covered_bytes += len(payload)
         if self._vrb_emit(entry, out, dgram_id):
             if entry.covered_bytes >= key.datagram_size:
                 self._vrb_flush(entry)
 
     def _vrb_emit(self, entry, frag, dgram_id):
         """Send right away (FF) or park in the entry queue (FF_QUEUED)."""
-        frame = Frame(self.config.id, self.config.route_next_hop, frag,
-                      dgram_id, None)
+        frame = tuple.__new__(Frame, (self.config.id,
+                                      self.config.route_next_hop, frag,
+                                      dgram_id, None))
         if not self.strategy.queue:
             self.mac.send(frame)
             return True

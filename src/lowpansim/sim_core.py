@@ -25,9 +25,10 @@ The medium models a single channel:
   each copy elsewhere is judged on its own.
 
 Transceiver state lives on the MAC objects (tx_until, rx_busy_until,
-current_rx, rx_held, counters), reached through one link map that
-`add_link` alone builds.  The medium opens a reception at a frame's
-destination and marks every neighbour busy; the receiving MAC closes it.
+current_rx, rx_held, counters), reached through one link map and one
+neighbour tuple per node that `add_link` alone builds.  The medium opens a
+reception at a frame's destination and marks every neighbour busy; the
+receiving MAC closes it.
 """
 
 import heapq
@@ -91,18 +92,23 @@ class RxState:
 
 class Medium:
     """Single shared channel with per-link PDR and collision semantics;
-    `links[node_id]` maps each neighbour's id to its (mac, pdr)."""
+    `links[node_id]` maps each neighbour's id to its (mac, pdr), and
+    `neighbours[node_id]` holds the same macs as a tuple."""
 
-    __slots__ = ("sim", "links")
+    __slots__ = ("sim", "links", "neighbours")
 
     def __init__(self, sim):
         self.sim = sim
         self.links = {}
+        self.neighbours = {}
 
     def add_link(self, a, b, pdr):
         """Symmetric audibility between two macs."""
-        self.links.setdefault(a.node_id, {})[b.node_id] = (b, pdr)
-        self.links.setdefault(b.node_id, {})[a.node_id] = (a, pdr)
+        for x, y in ((a, b), (b, a)):
+            links = self.links.setdefault(x.node_id, {})
+            links[y.node_id] = (y, pdr)
+            self.neighbours[x.node_id] = tuple(mac for mac, _ in
+                                               links.values())
 
     def begin_tx(self, sender, frame):
         """Account a transmission from now until the sender's tx_until at
@@ -110,8 +116,7 @@ class Medium:
         the destination (a neighbor, on a route edge), or None if the frame
         is lost at once."""
         t0, t1 = self.sim.now, sender.tx_until
-        links = self.links[sender.node_id]
-        dest, pdr = links[frame.dst]
+        dest, pdr = self.links[sender.node_id][frame.dst]
         opened = None
         if pdr < 1.0 and self.sim.rng.random() >= pdr:
             sender.counters.channel_losses += 1
@@ -126,7 +131,7 @@ class Medium:
         else:
             dest.current_rx = rx = RxState(frame)
             opened = (dest, rx)
-        for nbr, _ in links.values():
+        for nbr in self.neighbours[sender.node_id]:
             if nbr.rx_busy_until < t1:
                 nbr.rx_busy_until = t1
             rx = nbr.current_rx

@@ -1,16 +1,27 @@
 """CLI behavior: exit codes, output files, fixture reproduction."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lowpansim
 from lowpansim.cli import main
-from lowpansim.harness import MAX_WAIT_US
+from lowpansim.frag_codec import (FRAG1_HEADER_LEN, FRAGN_HEADER_LEN,
+                                  MAX_COMP_HEADER)
+from lowpansim.harness import (MAX_WAIT_US, STUDY_PAYLOADS, _render_run,
+                               read_run_file)
+from lowpansim.link_mac import MAX_FRAME_BYTES
+from lowpansim.node_stack import STRATEGIES
+from lowpansim.topology import save_topology
 
 from test_harness import line_topology, write_scenario
 from test_topology import NEGATIVE_ID
@@ -309,3 +320,93 @@ def test_aggregate_reports_the_seeds_of_the_files_it_folds(tmp_path, capsys):
     both = aggregate(run1, run0)
     assert both["runs"] == 2 and both["seeds"] == [2, 1]
     assert both["per_payload"]["80"]["pdr"] == pdr[run1] + pdr[run0]
+
+
+# -- the whole scenario schema --------------------------------------------
+
+WAITS = st.one_of(st.sampled_from((0, MAX_WAIT_US)),
+                  st.integers(0, MAX_WAIT_US))
+ENTRIES = st.one_of(st.none(), st.integers(1, 64))
+
+
+@st.composite
+def any_scenario(draw):
+    """A scenario drawing every key from its valid domain, on a small
+    network with one or two datagrams per source.  Retry and backoff counts
+    stay small so that each example ends quickly, and so does the queue's
+    poll: a queued frame is retried every queue_retry_us while the frame
+    buffer is held, so the draw allows at most 1,000 polls per handover."""
+    comp = draw(st.integers(0, MAX_COMP_HEADER))
+    # The codec's limits: a FRAGN with 8 bytes and a FRAG1 with the
+    # compressed header must each fit the link SDU.
+    sdu_min = max(FRAGN_HEADER_LEN + 8, FRAG1_HEADER_LEN + comp)
+    min_be = draw(st.integers(0, 8))
+    handover = draw(WAITS)
+    lo = draw(st.integers(1, MAX_WAIT_US))
+    return {
+        "version": 1, "topology": "net.txt",
+        "strategy": draw(st.sampled_from(sorted(STRATEGIES))),
+        "payloads": draw(st.lists(st.sampled_from(STUDY_PAYLOADS),
+                                  min_size=1, max_size=2, unique=True)),
+        "interval_us": [lo, draw(st.integers(lo, 2 * MAX_WAIT_US))],
+        "packets_per_source": draw(st.integers(1, 2)),
+        "seeds": draw(st.lists(st.integers(-(1 << 70), 1 << 70),
+                               min_size=1, max_size=2, unique=True)),
+        "rbuf_entries": draw(ENTRIES),
+        "sink_rbuf_entries": draw(ENTRIES),
+        "vrb_entries": draw(ENTRIES),
+        "force_link_pdr": draw(st.one_of(
+            st.none(), st.just(1.0),
+            st.floats(0.0, 1.0, exclude_min=True))),
+        "check_paths": draw(st.booleans()),
+        "serialize_sends": draw(st.booleans()),
+        "mac": {
+            "max_retransmissions": draw(st.integers(0, 3)),
+            "min_be": min_be,
+            "max_be": draw(st.integers(min_be, 8)),
+            "max_csma_backoffs": draw(st.integers(0, 3)),
+            "ack_timeout_us": draw(WAITS),
+            "queue_retry_us": draw(st.one_of(
+                st.just(MAX_WAIT_US),
+                st.integers(max(1, handover // 1000), MAX_WAIT_US))),
+            "queue_capacity": draw(st.one_of(st.none(), st.integers(0, 8))),
+            "l2_overhead": draw(st.integers(0, MAX_FRAME_BYTES - sdu_min)),
+            "rx_handover_us": handover,
+        },
+        "stack": {
+            "comp_header_bytes": comp,
+            "reassembly_timeout_us": draw(WAITS),
+            "vrb_lifetime_us": draw(WAITS),
+            "proc_delay_us": draw(WAITS),
+            "frag_buffer_slots": draw(st.one_of(st.none(),
+                                                st.integers(0, 8))),
+            "arena_bytes": draw(st.one_of(st.none(),
+                                          st.integers(0, 10_000))),
+        },
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_scenario())
+def test_every_valid_scenario_runs_reads_back_and_aggregates(cfg):
+    # Whatever the schema accepts, `run` finishes with a verdict (0, or 1
+    # for a violation) and no traceback, and its files are exact: each
+    # parses and renders back to its bytes, and `aggregate` over them
+    # writes `run`'s aggregate.json byte for byte.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_topology(line_topology(4), tmp / "net.txt")
+        (tmp / "scn.json").write_text(json.dumps(cfg))
+        out, agg = tmp / "out", tmp / "agg.json"
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["run", "--scenario", str(tmp / "scn.json"),
+                         "--out", str(out), "--jobs", "1"])
+            assert code in (0, 1), err.getvalue()
+            paths = sorted(out.glob("run-*.txt"))
+            assert len(paths) == len(cfg["seeds"])
+            for path in paths:
+                assert _render_run(read_run_file(path)) == path.read_text()
+            assert main(["aggregate", "--out", str(agg),
+                         *map(str, paths)]) == 0, err.getvalue()
+        assert agg.read_bytes() == (out / "aggregate.json").read_bytes()

@@ -8,16 +8,24 @@ their failure paths.  test_a11 only compares two runs of one commit; this
 test also catches drift between commits.  A change that alters behaviour
 on purpose replaces the digests below with the ones the failure message
 prints and says why.
+
+Each (setting, strategy) also pins the number of events its simulations
+schedule, `Simulator._seq` after `run()` summed over every simulation.  A
+change meant to be byte-identical can still add or drop an event that no
+run file shows; this count catches it.  The simulations run in this
+process (`--jobs 1`), since a forked worker's counters never come back.
 """
 
 import hashlib
 import json
 from importlib import resources
+from unittest import mock
 
 import pytest
 
 from lowpansim.cli import main
 from lowpansim.harness import _render_run, aggregate_runs, read_run_file
+from lowpansim.sim_core import Simulator
 
 TOPOLOGY = resources.files("lowpansim.data") / "topology50.txt"
 COMMON = {"version": 1, "topology": "topology50.txt", "payloads": [80, 656],
@@ -123,6 +131,20 @@ GOLDEN = {
 }
 
 
+# Events scheduled by all four simulations (two seeds by two payloads).
+EVENTS = {
+    ("edges", "HWR"): 24_488,
+    ("edges", "FF"): 26_509,
+    ("edges", "FF_QUEUED"): 23_332,
+    ("lossless", "HWR"): 60_857,
+    ("lossless", "FF"): 67_046,
+    ("lossless", "FF_QUEUED"): 60_857,
+    ("lossy", "HWR"): 40_814,
+    ("lossy", "FF"): 74_973,
+    ("lossy", "FF_QUEUED"): 60_124,
+}
+
+
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 @pytest.mark.parametrize("strategy", ("HWR", "FF", "FF_QUEUED"))
 def test_run_files_match_golden_digests(tmp_path, capsys, setting, strategy):
@@ -131,7 +153,16 @@ def test_run_files_match_golden_digests(tmp_path, capsys, setting, strategy):
     scenario.write_text(json.dumps(dict(COMMON, strategy=strategy,
                                         **SETTINGS[setting])))
     out = tmp_path / "out"
-    code = main(["run", "--scenario", str(scenario), "--out", str(out)])
+    events = []
+    run = Simulator.run
+
+    def counted_run(sim):
+        run(sim)
+        events.append(sim._seq)
+
+    with mock.patch.object(Simulator, "run", counted_run):
+        code = main(["run", "--scenario", str(scenario), "--out", str(out),
+                     "--jobs", "1"])
     capsys.readouterr()
 
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -144,6 +175,10 @@ def test_run_files_match_golden_digests(tmp_path, capsys, setting, strategy):
                % (name, expected.get(name), got.get(name))
                for name in sorted(set(got) | set(expected))]))
     assert code == 0
+    assert len(events) == 4
+    assert sum(events) == EVENTS.get((setting, strategy)), (
+        "events of %s/%s: expected %s, got %d"
+        % (setting, strategy, EVENTS.get((setting, strategy)), sum(events)))
 
     # Parsing the run files gives back the records they were rendered
     # from: each renders to the same text, and their fold to the same

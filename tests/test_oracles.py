@@ -9,7 +9,9 @@ whole datagram has arrived (HWR, FF_QUEUED).  FF sends while fragments are
 still arriving and falls short of that.  On a lossless 6-node line, HWR's
 latency grows linearly with hop count and FF_QUEUED matches it.  Two
 hidden senders, driving the MAC and the medium directly, deliver both of
-their frames exactly when their backoff draws are far enough apart.
+their frames exactly when their backoff draws are far enough apart; two
+exposed senders, which hear each other, collide, fail CCA, hit a held
+buffer or both arrive, each in a closed-form share of draws.
 
 Seeds are fixed, so every result is deterministic.  The bounds (4 standard
 deviations, 10 % and 1 %) were set before the results were seen; a failure
@@ -19,6 +21,7 @@ means the model moved, never that a bound should widen.
 import functools
 import math
 import statistics
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,8 +29,8 @@ import pytest
 from lowpansim.buffers import PacketArena
 from lowpansim.frag_codec import Fragment
 from lowpansim.harness import UNBOUNDED_ENTRIES, Scenario, _simulate
-from lowpansim.link_mac import (UNIT_BACKOFF_US, Frame, Mac, MacParams,
-                                airtime_us)
+from lowpansim.link_mac import (CCA_DUR_US, UNIT_BACKOFF_US, Frame, Mac,
+                                MacParams, airtime_us)
 from lowpansim.metrics import NodeCounters
 from lowpansim.node_stack import StackParams
 from lowpansim.sim_core import Medium, Simulator
@@ -155,26 +158,30 @@ HIDDEN_FRAME_BYTES = 124
 HIDDEN_SEEDS = range(1, 10_001)
 
 
-def hidden_pair_delivered(be, handover, seed):
-    """Senders 1 and 2, which cannot hear each other, each send one frame
-    to node 0 at t = 0 over lossless links, with one backoff of 1 << be
-    slots and a single attempt; return how many of the two arrive."""
+def contending_pair(be, handover, seed, exposed=False):
+    """Senders 1 and 2 each send one frame to node 0 at t = 0 over
+    lossless links, with one backoff of 1 << be slots and a single
+    attempt; they hear each other only when `exposed`.  Return how many of
+    the two frames arrive and each node's counters."""
     params = MacParams(min_be=be, max_be=be, max_csma_backoffs=0,
                        max_retransmissions=0, rx_handover_us=handover)
     sim = Simulator(seed=seed)
     medium = Medium(sim)
     delivered = []
-    macs = [Mac(i, sim, medium, params, NodeCounters(), PacketArena(None),
+    counters = [NodeCounters() for _ in range(3)]
+    macs = [Mac(i, sim, medium, params, counters[i], PacketArena(None),
                 on_deliver=delivered.append,
                 on_frame_done=lambda frame, cause: None)
             for i in range(3)]
     medium.add_link(macs[1], macs[0], 1.0)
     medium.add_link(macs[2], macs[0], 1.0)
+    if exposed:
+        medium.add_link(macs[1], macs[2], 1.0)
     payload = bytes(HIDDEN_FRAME_BYTES - params.l2_overhead)
     for i in (1, 2):
         macs[i].send(Frame(i, 0, Fragment(None, payload), dgram_id=i))
     sim.run()
-    return len(delivered)
+    return len(delivered), counters
 
 
 @pytest.mark.parametrize("handover", (0, 1000))
@@ -190,10 +197,69 @@ def test_hidden_senders_both_arrive_with_closed_form_probability(be,
     n = 1 << be
     gap = -(-(airtime_us(HIDDEN_FRAME_BYTES) + handover) // UNIT_BACKOFF_US)
     expected = Fraction(sum(2 * (n - d) for d in range(gap, n)), n * n)
-    both = sum(hidden_pair_delivered(be, handover, seed) == 2
+    both = sum(contending_pair(be, handover, seed)[0] == 2
                for seed in HIDDEN_SEEDS)
     trials = len(HIDDEN_SEEDS)
     # At be 4 with the handover no gap is wide enough: P and sd are 0.
     sd = math.sqrt(expected * (1 - expected) / trials)
     assert abs(both / trials - expected) <= 4 * sd, (
         be, handover, both / trials, float(expected), sd)
+
+
+# -- contention between two exposed senders ------------------------------
+
+EXPOSED_SEEDS = range(1, 4_001)
+
+
+def exposed_outcome(be, handover, seed):
+    """Which of the four outcomes one exposed pair's trial had, or None if
+    it had none of them."""
+    delivered, counters = contending_pair(be, handover, seed, exposed=True)
+    csma = sum(c.csma_failures for c in counters)
+    busy = sum(c.busy_losses for c in counters)
+    collided = counters[0].collisions > 0
+    if delivered == 0 and collided and not csma and not busy:
+        return "collision"
+    if delivered == 1 and csma == 1 and not busy and not collided:
+        return "csma_failure"
+    if delivered == 1 and busy == 1 and not csma and not collided:
+        return "busy_loss"
+    if delivered == 2 and not csma and not busy and not collided:
+        return "both"
+    return None
+
+
+@pytest.mark.parametrize("handover", (0, 1000))
+@pytest.mark.parametrize("be", (4, 5, 6))
+def test_exposed_senders_outcomes_have_closed_form_probabilities(be,
+                                                                 handover):
+    # The senders hear each other, and each draws one backoff of a uniform
+    # 0..N-1 slots, N = 1 << be; let d be the difference of the draws.
+    # Equal draws (d = 0, P = 1/N) pass both CCAs at one instant, and the
+    # two frames collide at the receiver.  Otherwise P(d) = 2 (N - d) / N^2.
+    # The later CCA falls inside the earlier frame's turnaround and airtime
+    # below g1 = ceil((CCA + airtime) / slot) and fails; at or above g1 the
+    # later frame reaches a receiver still holding the earlier one below
+    # g2 = ceil((airtime + handover) / slot); past both, both arrive.
+    n = 1 << be
+    airtime = airtime_us(HIDDEN_FRAME_BYTES)
+    g1 = -(-(CCA_DUR_US + airtime) // UNIT_BACKOFF_US)
+    g2 = -(-(airtime + handover) // UNIT_BACKOFF_US)
+    assert (g1, g2) == (14, 13 if handover == 0 else 17)
+
+    def p(lo, hi):
+        return Fraction(sum(2 * (n - d) for d in range(max(lo, 1), hi)),
+                        n * n)
+    expected = {"collision": Fraction(1, n),
+                "csma_failure": p(1, g1),
+                "busy_loss": p(g1, g2),
+                "both": p(max(g1, g2), n)}
+    assert sum(expected.values()) == 1
+    seen = Counter(exposed_outcome(be, handover, seed)
+                   for seed in EXPOSED_SEEDS)
+    assert None not in seen, seen
+    trials = len(EXPOSED_SEEDS)
+    for outcome, prob in expected.items():
+        sd = math.sqrt(prob * (1 - prob) / trials)
+        assert abs(seen[outcome] / trials - prob) <= 4 * sd, (
+            be, handover, outcome, seen[outcome] / trials, float(prob), sd)
