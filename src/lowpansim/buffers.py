@@ -78,8 +78,8 @@ class _Entry:
 
 
 class DeadlineTable:
-    """Bounded dict of entries that live `lifetime_us` and expire strictly
-    after their `deadline`.
+    """Dict of at most `capacity` entries (None = unbounded) that live
+    `lifetime_us` and expire strictly after their `deadline`.
 
     Entries are never refreshed and time never goes back, so insertion
     order is deadline order.  The table keeps at most one expiry event in
@@ -105,7 +105,7 @@ class DeadlineTable:
         return len(self.entries)
 
     def full(self):
-        return len(self.entries) >= self.capacity
+        return self.capacity is not None and len(self.entries) >= self.capacity
 
     def remove(self, entry):
         """Take a stored entry out and free its arena charge."""

@@ -34,8 +34,6 @@ FRAG_COUNT_TABLE = (
 )
 STUDY_PAYLOADS = tuple(p for p, _ in FRAG_COUNT_TABLE)
 
-UNBOUNDED_ENTRIES = 1 << 30      # stands in for "no limit" table sizes
-
 
 class ScenarioError(ValueError):
     pass
@@ -44,22 +42,19 @@ class ScenarioError(ValueError):
 # Validators.  Each takes a scenario-file key and its JSON value and returns
 # the field value, or raises ScenarioError.
 
-_NO_NULL = object()
-
-
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int(lo, null=_NO_NULL, hi=math.inf):
-    """An integer in [lo, hi]; JSON null maps to `null` when one is given."""
+def _int(lo, null=False, hi=math.inf):
+    """An integer in [lo, hi], or JSON null for "no limit" when `null`."""
     what = "an integer >= %d%s%s" % (
         lo, "" if hi == math.inf else " and <= %d" % hi,
-        "" if null is _NO_NULL else " or null")
+        " or null" if null else "")
 
     def check(name, value):
-        if value is None and null is not _NO_NULL:
-            return null
+        if value is None and null:
+            return None
         if not _is_int(value) or not lo <= value <= hi:
             raise ScenarioError("%s must be %s" % (name, what))
         return value
@@ -137,7 +132,7 @@ def _params(cls, **checks):
     return check
 
 
-_ENTRIES = _int(1, null=UNBOUNDED_ENTRIES)
+_ENTRIES = _int(1, null=True)
 # A wait of at most 2**32 us (about 72 minutes) keeps a latency below the
 # 2**63 us that a run file holds, unless 2**31 waits follow one another.
 MAX_WAIT_US = 1 << 32
@@ -159,7 +154,6 @@ _SCHEMA = (
     ("sink_rbuf_entries", _ENTRIES, 16),
     ("vrb_entries", _ENTRIES, 16),
     ("force_link_pdr", _pdr, None),
-    ("check_paths", _flag, True),
     # One send at a time network-wide instead of concurrent per-source
     # schedules.  With intervals longer than a train's transit time this
     # removes channel contention entirely, which is what the lossless
@@ -169,13 +163,13 @@ _SCHEMA = (
     ("mac", _params(        # max_be: IEEE 802.15.4's macMaxBE range
         MacParams, max_retransmissions=_int(0), min_be=_int(0),
         max_be=_int(0, hi=8), max_csma_backoffs=_int(0), ack_timeout_us=_WAIT,
-        queue_retry_us=_int(1, hi=MAX_WAIT_US), rx_handover_us=_WAIT,
-        queue_capacity=_int(0, null=None), l2_overhead=_int(0)), MacParams()),
+        rx_handover_us=_WAIT, queue_capacity=_int(0, null=True),
+        l2_overhead=_int(0)), MacParams()),
     ("stack", _params(
         StackParams, comp_header_bytes=_int(0), reassembly_timeout_us=_WAIT,
         vrb_lifetime_us=_WAIT, proc_delay_us=_WAIT,
-        frag_buffer_slots=_int(0, null=UNBOUNDED_ENTRIES),
-        arena_bytes=_int(0, null=None)), StackParams()),
+        frag_buffer_slots=_int(0, null=True),
+        arena_bytes=_int(0, null=True)), StackParams()),
 )
 
 # Scenario's fields: the required keys first, as a tuple's defaults trail.
@@ -444,10 +438,9 @@ def _simulate(scenario, topo, seed, payload):
         sim.at(t, sends[nid], payload, dgram_id)
 
     strays = {}
-    if scenario.check_paths:
-        routes = {nid: _path_edges(topo, nid) for nid in order}
-        for nid, node in nodes.items():
-            _check_routes(node.mac, nid, recs, routes, strays)
+    routes = {nid: _path_edges(topo, nid) for nid in order}
+    for nid, node in nodes.items():
+        _check_routes(node.mac, nid, recs, routes, strays)
 
     sim.run()
 

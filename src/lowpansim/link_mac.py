@@ -14,10 +14,13 @@ learns the outcome at transmission end and retries ack_timeout_us later.
 
 Frames handed to a busy transceiver (transmitting, or mid-reception of a
 frame addressed to this node) wait in a FIFO queue (overflow drops the
-newest frame); the queue head is retried as soon as the radio frees and not
-later than queue_retry_us after enqueueing.  A channel that is merely
-overheard busy does not queue the frame: that is CCA's job.  Queued and
-in-flight frames are charged to the node's packet arena.
+newest frame).  The queue head starts when the transceiver frees, with no
+poll: every busy state ends at an event already scheduled, the reception's
+end or `_rx_release`.  A re-poll falls at the same instant only when a
+reception ends then, and that reception's end event has the lower sequence
+number, so it runs first.  A channel that is merely overheard busy does not
+queue the frame: that is CCA's job.  Queued and in-flight frames are
+charged to the node's packet arena.
 """
 
 from collections import deque
@@ -41,7 +44,6 @@ class MacParams(NamedTuple):
     max_be: int = 5
     max_csma_backoffs: int = 4
     ack_timeout_us: int = 864       # 54 symbols
-    queue_retry_us: int = 5000
     queue_capacity: int = 64        # None = unbounded
     l2_overhead: int = 23           # MAC header + FCS bytes per frame
     # A received frame occupies the transceiver's single buffer until the
@@ -109,16 +111,6 @@ class Mac:
     def wire_size(self, frame):
         return self.params.l2_overhead + frame.fragment.content_len
 
-    # The transceiver is busy while a frame for us arrives (current_rx) or
-    # is held (rx_held).  Carrier overheard from elsewhere (rx_busy_until
-    # with no frame of ours arriving) is not transceiver business; CCA
-    # deals with it.  `send` and `_try_service` test this, and
-    # `_schedule_service` waits for `_busy_end`, only while no job is
-    # current; a job ends when its airtime does, so the MAC is never on the
-    # air then.
-    def _busy_end(self):
-        return max(self.rx_busy_until, self.rx_hold_until)
-
     def reception_ended(self, rx):
         """Close the reception `rx` opened here; return whether its frame
         arrived intact, and if so hold the frame buffer for the handover."""
@@ -160,9 +152,12 @@ class Mac:
         if self.current is None:
             self._schedule_service()
 
+    # The transceiver is busy while a frame for us arrives (current_rx) or
+    # is held (rx_held); overheard carrier is CCA's business.  Only a MAC
+    # with no job current, so off the air, tests this.  No reception
+    # outlasts rx_busy_until, and no hold rx_hold_until.
     def _schedule_service(self):
-        now = self.sim.now
-        t = max(now, min(self._busy_end(), now + self.params.queue_retry_us))
+        t = max(self.sim.now, self.rx_busy_until, self.rx_hold_until)
         if self._service_at is not None and self._service_at <= t:
             return
         self._service_at = t

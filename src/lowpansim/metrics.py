@@ -21,7 +21,6 @@ COUNTER_FIELDS = (
     "vrb_expired",            # VRB entry expired (queued fragments dropped)
     "pktbuf_full",            # packet arena exhausted
     "frag_buf_full",          # no free fragmentation-buffer slot
-    "duplicate_fragments",    # always 0: each fragment arrives at most once
     "datagrams_sent",         # datagrams originated by this node's flows
     "datagrams_forwarded",    # datagrams this node re-fragmented or piped through
     "datagrams_delivered",    # datagrams completed at this node's socket

@@ -65,8 +65,8 @@ class NodeConfig(NamedTuple):
     id: int
     route_next_hop: object          # None exactly at the sink
     strategy: str
-    rbuf_entries: int = 16          # table capacities; harness scenarios
-    vrb_entries: int = 16           # write "no limit" as UNBOUNDED_ENTRIES
+    rbuf_entries: int = 16          # table capacities; None = unbounded
+    vrb_entries: int = 16
 
 
 class StackParams(NamedTuple):
@@ -74,7 +74,7 @@ class StackParams(NamedTuple):
     reassembly_timeout_us: int = 10_000_000
     vrb_lifetime_us: int = 10_000_000
     proc_delay_us: int = 2000
-    frag_buffer_slots: int = 64        # concurrent fragmentation jobs
+    frag_buffer_slots: int = 64        # concurrent jobs; None = unbounded
     arena_bytes: object = 6144         # shared packet pool; None = unbounded
 
 
@@ -117,7 +117,8 @@ class Node:
 
     def _send_fragments(self, datagram, dgram_id):
         me, next_hop = self.config.id, self.config.route_next_hop
-        if (len(self.jobs) >= self.stack.frag_buffer_slots
+        slots = self.stack.frag_buffer_slots
+        if ((slots is not None and len(self.jobs) >= slots)
                 or self.tags.full()):
             self.counters.frag_buf_full += 1
             self.on_drop(dgram_id, "frag_buf_full")

@@ -22,9 +22,9 @@ import pytest
 from lowpansim.buffers import ARENA_ENTRY_BYTES, NAIVE_ENTRY_BYTES, mem_usage
 from lowpansim.frag_codec import (Frag1Header, FragNHeader, decode_header,
                                   encode_header)
-from lowpansim.harness import (FRAG_COUNT_TABLE, STUDY_PAYLOADS, UNBOUNDED_ENTRIES,
-                               Scenario, aggregate_runs, read_run_file,
-                               run_experiment, frag_table_check)
+from lowpansim.harness import (FRAG_COUNT_TABLE, STUDY_PAYLOADS, Scenario,
+                               aggregate_runs, read_run_file, run_experiment,
+                               frag_table_check)
 from lowpansim.link_mac import MacParams
 from lowpansim.node_stack import Node, NodeConfig, StackParams
 from lowpansim.sim_core import Medium, Simulator
@@ -70,13 +70,12 @@ def lossless(tmp_path_factory):
                        interval_us=(2_000_000, 3_000_000),
                        seeds=(1,), packets_per_source=10,
                        force_link_pdr=1.0, serialize_sends=True,
-                       rbuf_entries=UNBOUNDED_ENTRIES,
-                       sink_rbuf_entries=UNBOUNDED_ENTRIES,
-                       vrb_entries=UNBOUNDED_ENTRIES,
+                       rbuf_entries=None, sink_rbuf_entries=None,
+                       vrb_entries=None,
                        mac=MacParams(max_retransmissions=10_000,
                                      queue_capacity=None,
                                      min_be=6, max_be=8),
-                       stack=StackParams(frag_buffer_slots=UNBOUNDED_ENTRIES,
+                       stack=StackParams(frag_buffer_slots=None,
                                          arena_bytes=None))
         outdir = tmp_path_factory.mktemp("lossless-" + strategy)
         paths, _ = run_experiment(scn, outdir)

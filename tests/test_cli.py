@@ -197,6 +197,16 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     assert "no sender" in err and "Traceback" not in err
     assert len(err.splitlines()) == 1
 
+    # Keys the schema does not have, such as a poll interval for the MAC
+    # queue or a switch for the route check.
+    for over in ({"mac": {"queue_retry_us": 5000}}, {"check_paths": True}):
+        scn = write_scenario(tmp_path, line_topology(3), **over)
+        assert main(["run", "--scenario", str(scn),
+                     "--out", str(tmp_path / "o")]) == 2, over
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
     # A topology file with a byte outside ASCII.
     scn = write_scenario(tmp_path, line_topology(3))
     net = tmp_path / "net.txt"
@@ -333,15 +343,12 @@ ENTRIES = st.one_of(st.none(), st.integers(1, 64))
 def any_scenario(draw):
     """A scenario drawing every key from its valid domain, on a small
     network with one or two datagrams per source.  Retry and backoff counts
-    stay small so that each example ends quickly, and so does the queue's
-    poll: a queued frame is retried every queue_retry_us while the frame
-    buffer is held, so the draw allows at most 1,000 polls per handover."""
+    stay small so that each example ends quickly."""
     comp = draw(st.integers(0, MAX_COMP_HEADER))
     # The codec's limits: a FRAGN with 8 bytes and a FRAG1 with the
     # compressed header must each fit the link SDU.
     sdu_min = max(FRAGN_HEADER_LEN + 8, FRAG1_HEADER_LEN + comp)
     min_be = draw(st.integers(0, 8))
-    handover = draw(WAITS)
     lo = draw(st.integers(1, MAX_WAIT_US))
     return {
         "version": 1, "topology": "net.txt",
@@ -358,7 +365,6 @@ def any_scenario(draw):
         "force_link_pdr": draw(st.one_of(
             st.none(), st.just(1.0),
             st.floats(0.0, 1.0, exclude_min=True))),
-        "check_paths": draw(st.booleans()),
         "serialize_sends": draw(st.booleans()),
         "mac": {
             "max_retransmissions": draw(st.integers(0, 3)),
@@ -366,12 +372,9 @@ def any_scenario(draw):
             "max_be": draw(st.integers(min_be, 8)),
             "max_csma_backoffs": draw(st.integers(0, 3)),
             "ack_timeout_us": draw(WAITS),
-            "queue_retry_us": draw(st.one_of(
-                st.just(MAX_WAIT_US),
-                st.integers(max(1, handover // 1000), MAX_WAIT_US))),
             "queue_capacity": draw(st.one_of(st.none(), st.integers(0, 8))),
             "l2_overhead": draw(st.integers(0, MAX_FRAME_BYTES - sdu_min)),
-            "rx_handover_us": handover,
+            "rx_handover_us": draw(WAITS),
         },
         "stack": {
             "comp_header_bytes": comp,

@@ -6,8 +6,12 @@ lossless-oracle settings (unbounded buffers, lossless links, serialized
 sends), and under edge settings that drive the MAC and the tables into
 their failure paths.  test_a11 only compares two runs of one commit; this
 test also catches drift between commits.  A change that alters behaviour
-on purpose replaces the digests below with the ones the failure message
-prints and says why.
+or the run-file format on purpose replaces the digests below with the
+ones the failure message prints and says why.  They last changed with the
+format alone: the [scenario] block lost `check_paths` and
+`mac.queue_retry_us` and writes an unbounded table size as `none`, and
+[node_counters] lost the `duplicate_fragments` column, which was 0 in
+every row.  Every other row and every event count below stayed as it was.
 
 Each (setting, strategy) also pins the number of events its simulations
 schedule, `Simulator._seq` after `run()` summed over every simulation.  A
@@ -58,75 +62,75 @@ SETTINGS = {
 GOLDEN = {
     ("edges", "HWR"): {
         "aggregate.json":
-            "a5b013c89bd6856a8c3c4c5dc4bc15629c95cf0114b402193a828014ea56c4de",
+            "b1538515c08d1fc9e37faee79f6f5b386ba738e62ad83de30a276575e8b03b6a",
         "run-00.txt":
-            "a0e2ae33a484ba9d2bc88f30fee8d13d5fc2046f20b5e35dee1f6da5f3c27434",
+            "e593fc153b09e6248c90633de228e96e846b015727adeab360e57c1ba569c111",
         "run-01.txt":
-            "389ced815e9da79cab78f9322563cbd7c0bed60aa49e8f189914cc4aa4cf4500",
+            "9ef8f620bfb8c93763f8c3cdf88896df3391aac1f0e94a572f19771df3167687",
     },
     ("edges", "FF"): {
         "aggregate.json":
-            "6026974e6315cd103e6f4b910018e542f73716b06891702556105450c5dc97f9",
+            "7de6e8d2b579f33899a37046ee659431a1e6fdb55c9622828b5f3210e8be81d1",
         "run-00.txt":
-            "16441c5ed480a7587b436162e5f5715310088e0c00c181167d993169a9aadab1",
+            "24e9f9792c7b6b4141c890adf03a80751c1ab983a889c4f077c917d8eef56601",
         "run-01.txt":
-            "1275deba8f4d6e8e8e09ed7343f060e6afba4a37387c188f8903a94e3ef9c199",
+            "dd9f26149b8e2f0e6fff06e25d861f1bad5aedcc0facba9aed32c7013ceed856",
     },
     ("edges", "FF_QUEUED"): {
         "aggregate.json":
-            "3b7fe228bdcc557a5df7dfc67f70098ebc5218eb55ee7f007bb5349fa97b8ffc",
+            "2565733bd5427ec8bc3f39ce7c7c2cb9f2ea188511d2429120bb8e6c89451880",
         "run-00.txt":
-            "3e936c84d0cd877b1b92728c9d935254e79941b4de5ce9b1b825cb3ac04a24aa",
+            "78bcbed0f842fa515e0a26bf385dec660d151b72a3f871c1496607d8fe43cda5",
         "run-01.txt":
-            "bd1ca3a9a285bea5138ed82ef0ee022c27cbd441e0e1131de03a39ad76b0f732",
+            "0c0d4ba8987a00818de604beac62ba342d5a9c328fe42aaeee003d1e1016c87e",
     },
     ("lossless", "HWR"): {
         "aggregate.json":
-            "4641b677a0b156ad17762617a93229f147b6a39e0ba1ce779696a23f7eac6e89",
+            "bb5adb6c10bfba2ba3c00bf2aa158a23372b432d9005e52c725cb214913fa09f",
         "run-00.txt":
-            "ea9a8f3afa06fd2dfd0d3e91c9734d75b9d93233816519f9fd00eb0f67e3cdc8",
+            "0a3f9e0e5687b3f5ca9e2df81f6d3d58e5ce0ede4ca36ecca438a72e8256a405",
         "run-01.txt":
-            "54b36e58ebad9f0ed1c060c5ad7d0e334084dcfd8bd0af569b5baaa95bc07402",
+            "1b642347cbe628bfe877220d3af412af4daa95c75277c3bd7c9046a41ae39368",
     },
     ("lossless", "FF"): {
         "aggregate.json":
-            "5c739675651dd3205fd84701e138eae3d5d6b55be30e11d47e589050f1534698",
+            "c8df447abecdf786b3cd57530ba65c36be80578ed319c0c493d1f09a23835dd0",
         "run-00.txt":
-            "4430bd1def0cf59b2ffdc20f99673fee3cc5154d95aabdc3f6f95fc993bdd10a",
+            "01bd824a19e4cdaf28ab4d15bcfa2b6288297efbbe563ddbb25c527cf5dd4b28",
         "run-01.txt":
-            "03ddcc8818d545eeca6b1bda6fc99ffd3a637ca696609710e70ba1b1934d80bd",
+            "8f3f366a81afb3b55a4ba1a2996c3143a13c5125ebbec0d67239bc61120376c4",
     },
     ("lossless", "FF_QUEUED"): {
         "aggregate.json":
-            "169cb9a04f86107f27682c3235f4a286e359434b291883865aed783e3f0fb0a1",
+            "c7259395b5aa9fbad85d761ba623cd2f54de64ebdbcd0102aaaeecbbfdb5446f",
         "run-00.txt":
-            "1cdb61ed40124c6339e31ceafcca93da47f3d9f708d11304f3ce802755432b3c",
+            "255af07a245221cee882f3bfc7b13b5baac4dafdaf361adb272abc706e3bb723",
         "run-01.txt":
-            "a84e2a9c6ab2cfec5ae860e88b0dd0f0ca7969c5509001cf458498db8500bb3d",
+            "3c9d183fa337fba5f516743cd3da2d5f59d4c61cace3938fc796b62375d799ed",
     },
     ("lossy", "HWR"): {
         "aggregate.json":
-            "1ea2fd225b26c655975bbc09f7ad66df9f5d9d8eac6e30011bf07d08ad55220b",
+            "2fa282b0710c70ae33ea1084ac80c14a3b3efaddc74525dfad033e9b24067957",
         "run-00.txt":
-            "8bf1dd6e8a48e4c6677aa6f80dfbd0b488ec9162aa4b6f1b79ee550c5ab542fb",
+            "26656aab5ed60fc982c0c45e8d34919ac59954a7592ed97b6c83863e21e80763",
         "run-01.txt":
-            "8aa32e59fac56659de95dc89972eab9d84744049f3bfa7829ddc84254e737072",
+            "1f1cbc62132d8b66a255ab14d303dac8f7fc7699e16281d9634c3852111f83b2",
     },
     ("lossy", "FF"): {
         "aggregate.json":
-            "7624c64a194d5cc974c6bf3a23fcf0b5f420fa5ffbde6636107d02faeaf60a72",
+            "b82aa0afaacb5e0084e90ac66be9a0c0b179bba9c796767ab47ff7fe09d3ba85",
         "run-00.txt":
-            "c7396e31051fc9a13df44831d3c43a48fd4b022e684630a0163b30d93e73f249",
+            "48f53b7b78295122e65f6e27c69b9c9e7509dfb37ef96c84072e7e406367ec97",
         "run-01.txt":
-            "47a8004ca0ec593e96bdfdb9c4859e706f0aaec74496d215f5dc865a42939e74",
+            "d1f0e74767f62382315b234ae2a3cc880b6a7166292a37747112879fcfc5bf3e",
     },
     ("lossy", "FF_QUEUED"): {
         "aggregate.json":
-            "20e49e623cd2f36d720c0a2506cb3f0d8373839124da572b071f33d2f98ac04c",
+            "e21c5dd94bb46ac97f9cf983ea5395958cee270141e2c4206f88e5c52227bf4f",
         "run-00.txt":
-            "9b2e57cd2c5bdfaea909177e8f4c7de27d60b194887b05d97cb9ece59b796258",
+            "d42f3dc79affbd5fa2c88104de828d79a0850b734583fb5e4f73f7521a373024",
         "run-01.txt":
-            "ec0b2551707ee8325a2ff628ba6764d1b589b4e777702b9263fd30bcf31d7557",
+            "d82cc1d13a3edaf734fd3de74c01c17e2caf1196fc5dc5d6af09c951e8adf37d",
     },
 }
 

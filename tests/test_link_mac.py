@@ -124,7 +124,7 @@ def test_queue_overflow_drops_newest():
 
 def test_queued_frame_starts_when_radio_frees():
     rig = Rig([(1, 2)])
-    hold_transceiver(rig.macs[1], 3000)   # frees before the 5 ms retry cap
+    hold_transceiver(rig.macs[1], 3000)
     f = Frame(1, 2, small_frame(), dgram_id=1)
     rig.macs[1].send(f)
     rig.sim.run()
@@ -133,8 +133,10 @@ def test_queued_frame_starts_when_radio_frees():
 
 
 def test_queued_frame_retries_every_5ms_while_busy():
+    # A hold longer than 5 ms: the queued frame still starts exactly at the
+    # release, with no earlier wake-up to add to its wait.
     rig = Rig([(1, 2)])
-    hold_transceiver(rig.macs[1], 9000)   # past the first 5 ms service retry
+    hold_transceiver(rig.macs[1], 9000)
     f = Frame(1, 2, small_frame(), dgram_id=1)
     rig.macs[1].send(f)
     rig.sim.run()

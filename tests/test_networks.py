@@ -39,8 +39,7 @@ from lowpansim import node_stack
 from lowpansim.buffers import DatagramKey
 from lowpansim.cli import main
 from lowpansim.frag_codec import HEADER_REGION, Frag1Header
-from lowpansim.harness import (STUDY_PAYLOADS, UNBOUNDED_ENTRIES, _simulate,
-                               scenario_from_dict)
+from lowpansim.harness import STUDY_PAYLOADS, _simulate, scenario_from_dict
 from lowpansim.link_mac import Mac
 from lowpansim.node_stack import STRATEGIES, Node
 from lowpansim.sim_core import Simulator
@@ -48,7 +47,7 @@ from lowpansim.topology import Topology, load_topology, save_topology
 from lowpansim.vrb import TagAllocator
 
 ORIGIN = (0.0, 0.0, 0.0)
-ENTRIES = st.sampled_from((1, 2, 16, UNBOUNDED_ENTRIES))
+ENTRIES = st.sampled_from((1, 2, 16, None))
 LIFETIME = st.sampled_from((20_000, 10_000_000))   # short or the default
 INSTANT_EVENTS = 10_000     # 500 generated runs put at most 4 on one instant
 
@@ -88,8 +87,7 @@ def scenarios(draw):
         "vrb_entries": draw(ENTRIES),
         "serialize_sends": draw(st.booleans()),
         "mac": {"queue_capacity": draw(st.sampled_from((1, 4, 64, None))),
-                "rx_handover_us": draw(st.sampled_from((0, 1000))),
-                "queue_retry_us": draw(st.sampled_from((1, 5000)))},
+                "rx_handover_us": draw(st.sampled_from((0, 1000)))},
         "stack": {"arena_bytes": draw(st.sampled_from((600, 1500, 6144,
                                                        None))),
                   "reassembly_timeout_us": draw(LIFETIME),

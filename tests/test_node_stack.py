@@ -7,7 +7,6 @@ import pytest
 
 from lowpansim.frag_codec import (Frag1Header, FragNHeader, Fragment,
                                   fragment_datagram)
-from lowpansim.harness import UNBOUNDED_ENTRIES
 from lowpansim.link_mac import CCA_DUR_US, Frame, MacParams, airtime_us
 from lowpansim.node_stack import Node, NodeConfig, StackParams, build_datagram
 from lowpansim.sim_core import Medium, Simulator
@@ -369,7 +368,7 @@ def test_exhausted_tag_space_drops_datagram_as_frag_buf_full():
     # Unbounded fragmentation slots, but a single tag: the second datagram
     # finds the first one's tag still live and is dropped, not a crash.
     line = Line(2, "HWR",
-                stack=StackParams(frag_buffer_slots=UNBOUNDED_ENTRIES))
+                stack=StackParams(frag_buffer_slots=None))
     src = line.nodes[0]
     src.tags = src.vrb.allocator = TagAllocator(tag_space=1)
     line.send(272, 1, at=0)

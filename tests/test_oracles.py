@@ -28,7 +28,7 @@ import pytest
 
 from lowpansim.buffers import PacketArena
 from lowpansim.frag_codec import Fragment
-from lowpansim.harness import UNBOUNDED_ENTRIES, Scenario, _simulate
+from lowpansim.harness import Scenario, _simulate
 from lowpansim.link_mac import (CCA_DUR_US, UNIT_BACKOFF_US, Frame, Mac,
                                 MacParams, airtime_us)
 from lowpansim.metrics import NodeCounters
@@ -48,10 +48,9 @@ def line_scenario(strategy, payload, packets, **settings):
     return Scenario(topology="line", strategy=strategy, payloads=(payload,),
                     interval_us=(2_000_000, 3_000_000),
                     packets_per_source=packets, seeds=(1,),
-                    serialize_sends=True, rbuf_entries=UNBOUNDED_ENTRIES,
-                    sink_rbuf_entries=UNBOUNDED_ENTRIES,
-                    vrb_entries=UNBOUNDED_ENTRIES,
-                    stack=StackParams(frag_buffer_slots=UNBOUNDED_ENTRIES,
+                    serialize_sends=True, rbuf_entries=None,
+                    sink_rbuf_entries=None, vrb_entries=None,
+                    stack=StackParams(frag_buffer_slots=None,
                                       arena_bytes=None), **settings)
 
 
