@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from .harness import (ScenarioError, aggregate_runs, load_scenario,
-                      read_run_file, run_experiment, frag_table_check)
+                      read_run_file, run_experiment)
 from .topology import (GenerationError, TopologyFileError, find_topology,
                        grid_office_plan, save_topology)
 
@@ -50,18 +50,6 @@ def _cmd_aggregate(args):
     return 0
 
 
-def _cmd_frag_table(args):
-    rows, mismatches = frag_table_check()
-    for payload, count in rows:
-        print("%4d bytes -> %2d fragment(s)" % (payload, count))
-    if mismatches:
-        for line in mismatches:
-            print("mismatch: " + line)
-        return 1
-    print("table check ok (%d rows)" % len(rows))
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="lowpansim",
@@ -90,10 +78,6 @@ def main(argv=None):
     agg.add_argument("--out", required=True)
     agg.add_argument("runs", nargs="+")
     agg.set_defaults(fn=_cmd_aggregate)
-
-    tbl = sub.add_parser("frag-table-check",
-                         help="verify the payload to fragment count mapping")
-    tbl.set_defaults(fn=_cmd_frag_table)
 
     args = parser.parse_args(argv)
     try:

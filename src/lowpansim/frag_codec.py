@@ -10,14 +10,13 @@ are this wire format, checked by acceptance criterion a01.
 
 Datagram model: an IPv6 datagram whose first HEADER_REGION (40) bytes are the
 IPv6 header.  Header compression replaces exactly that region on the wire
-with an opaque compressed header of `comp` bytes, an int that is the same
-for every node of a run; everything after it travels verbatim.  A Fragment's
-`payload` is the slice of the *uncompressed* datagram it covers (the first
-fragment's payload therefore starts with the 40-byte header region);
-`comp_size` is the on-wire size of the compressed header when present.  With
-the default link SDU of 104 bytes (127-byte frame minus 23 bytes of
-link-layer overhead) a FRAGN carries up to 96 payload bytes and a fill-first
-FRAG1 covers 112 (40 + 72).
+with an opaque compressed header of COMP_HEADER_BYTES (24) bytes, the same
+for every node; everything after it travels verbatim.  A Fragment's
+`payload` is the slice of the *uncompressed* datagram it covers: a first or
+unfragmented fragment's payload starts with the 40-byte header region, so
+only such a fragment carries the compressed header.  In the link SDU of 104
+bytes (127-byte frame minus 23 bytes of link-layer overhead) a FRAGN carries
+up to 96 payload bytes and a fill-first FRAG1 covers 112 (40 + 72).
 
 Two fragmentation policies:
 
@@ -32,13 +31,15 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
+from .link_mac import SDU
+
 FRAG1_DISPATCH = 0b11000
 FRAGN_DISPATCH = 0b11100
 FRAG1_HEADER_LEN = 4
 FRAGN_HEADER_LEN = 5
 
 HEADER_REGION = 40        # uncompressed IPv6 header bytes the comp header replaces
-MAX_COMP_HEADER = 40      # no compression scheme grows past the uncompressed size
+COMP_HEADER_BYTES = 24    # the compressed header that replaces them on the wire
 MAX_DATAGRAM = 1320       # IPv6 minimum MTU (1280) plus the 40-byte header
 MAX_DATAGRAM_SIZE_FIELD = 2047   # 11-bit size field
 MAX_TAG = 0xFFFF
@@ -79,27 +80,21 @@ class FragNHeader(NamedTuple):
     offset_units: int
 
 
-class Fragment(namedtuple("Fragment",
-                          "header payload comp_size content_len")):
+class Fragment(namedtuple("Fragment", "header payload content_len")):
     """One link-layer unit of a datagram.
 
     header is None for an unfragmented datagram.  payload is the covered
-    slice of the uncompressed datagram; comp_size is the wire size of the
-    compressed header (first fragment and unfragmented frames only).
-    content_len, derived at construction, is the total 6LoWPAN content in
-    bytes: fragment header plus wire payload.  `_replace` copies it
-    unchanged, so a changed fragment is built anew.
+    slice of the uncompressed datagram.  content_len, derived at
+    construction, is the total 6LoWPAN content in bytes: fragment header
+    plus wire payload.  `_replace` copies it unchanged, so a changed
+    fragment is built anew.
     """
 
     __slots__ = ()
 
-    def __new__(cls, header, payload, comp_size=None):
-        header_len = (0 if header is None
-                      else FRAG1_HEADER_LEN if isinstance(header, Frag1Header)
-                      else FRAGN_HEADER_LEN)
-        return tuple.__new__(cls, (header, payload, comp_size,
-                                   _content_len(header_len, len(payload),
-                                                comp_size)))
+    def __new__(cls, header, payload):
+        return tuple.__new__(cls, (header, payload,
+                                   _content_len(type(header), len(payload))))
 
     @property
     def offset(self):
@@ -109,12 +104,15 @@ class Fragment(namedtuple("Fragment",
         return 0
 
 
-def _content_len(header_len, payload_len, comp_size):
-    """A fragment's 6LoWPAN content in bytes: its fragment header plus its
-    payload on the wire, where a compressed header replaces the region."""
-    if comp_size is None:
-        return header_len + payload_len
-    return header_len + payload_len + comp_size - HEADER_REGION
+def _content_len(kind, payload_len):
+    """The 6LoWPAN content in bytes of a fragment with a header of type
+    `kind` and `payload_len` payload bytes: its fragment header plus its
+    payload on the wire.  A first or unfragmented fragment's payload starts
+    with the header region, which the compressed header replaces."""
+    if kind is FragNHeader:
+        return FRAGN_HEADER_LEN + payload_len
+    header_len = FRAG1_HEADER_LEN if kind is Frag1Header else 0
+    return header_len + payload_len + COMP_HEADER_BYTES - HEADER_REGION
 
 
 def _check_common(size, tag):
@@ -177,17 +175,16 @@ def _floor8(n):
     return n & ~7
 
 
-def _first_coverage(size, comp, sdu, policy):
+def _first_coverage(size, policy):
     """Uncompressed bytes covered by the first fragment, or -1 if one frame."""
-    if comp + (size - HEADER_REGION) <= sdu:
+    if COMP_HEADER_BYTES + (size - HEADER_REGION) <= SDU:
         return -1
     if policy == "minimal_first":
         return HEADER_REGION
-    data = _floor8(sdu - FRAG1_HEADER_LEN - comp)
-    return HEADER_REGION + max(data, 0)
+    return HEADER_REGION + _floor8(SDU - FRAG1_HEADER_LEN - COMP_HEADER_BYTES)
 
 
-def _validate(size, comp, sdu, policy):
+def _validate(size, policy):
     if policy not in POLICIES:
         raise FragmentationError("unknown policy: %r" % (policy,))
     if size > MAX_DATAGRAM:
@@ -195,61 +192,53 @@ def _validate(size, comp, sdu, policy):
     if size < HEADER_REGION:
         raise FragmentationError("datagram shorter than its header region: %d"
                                  % size)
-    if not 0 <= comp <= MAX_COMP_HEADER:
-        raise FragmentationError("compression header size out of range: %d"
-                                 % comp)
-    if sdu < FRAGN_HEADER_LEN + 8:
-        raise FragmentationError("sdu too small to carry fragments: %d" % sdu)
-    if FRAG1_HEADER_LEN + comp > sdu:
-        raise FragmentationError("compressed header does not fit the sdu")
 
 
-def fragment_count(size, comp, sdu, policy):
+def fragment_count(size, policy):
     """Number of frames a datagram of `size` bytes fragments into."""
-    return len(fragment_datagram(bytes(size), comp, 0, sdu, policy))
+    return len(fragment_datagram(bytes(size), 0, policy))
 
 
 @lru_cache(maxsize=64)
-def _spans(size, comp, sdu, policy):
+def _spans(size, policy):
     """Where a datagram of `size` bytes is cut: None if it travels in one
     frame, else the first fragment's (end, content_len) and each later
     fragment's (offset_units, start, end, content_len), in offset order.
     Validated once per geometry; a run cuts a handful of them."""
-    _validate(size, comp, sdu, policy)
-    first = _first_coverage(size, comp, sdu, policy)
+    _validate(size, policy)
+    first = _first_coverage(size, policy)
     if first < 0:
         return None
-    capacity = _floor8(sdu - FRAGN_HEADER_LEN)
+    capacity = _floor8(SDU - FRAGN_HEADER_LEN)
     rest = []
     for start in range(first, size, capacity):
         end = min(start + capacity, size)
         rest.append((start // 8, start, end,
-                     _content_len(FRAGN_HEADER_LEN, end - start, None)))
-    return ((first, _content_len(FRAG1_HEADER_LEN, first, comp)),
-            tuple(rest))
+                     _content_len(FragNHeader, end - start)))
+    return (first, _content_len(Frag1Header, first)), tuple(rest)
 
 
-def fragment_datagram(datagram, comp, tag, sdu, policy):
+def fragment_datagram(datagram, tag, policy):
     """Fragment a datagram; returns a list of Fragment in offset order."""
     size = len(datagram)
-    spans = _spans(size, comp, sdu, policy)
+    spans = _spans(size, policy)
     if spans is None:
-        return [Fragment(None, datagram, comp)]
+        return [Fragment(None, datagram)]
     (first, n), rest = spans
     new = tuple.__new__     # fields known: skip Fragment.__new__'s sums
     frags = [new(Fragment, (new(Frag1Header, (size, tag)), datagram[:first],
-                            comp, n))]
+                            n))]
     for units, start, end, n in rest:
         frags.append(new(Fragment, (new(FragNHeader, (size, tag, units)),
-                                    datagram[start:end], None, n)))
+                                    datagram[start:end], n)))
     return frags
 
 
 def refragment_first(first_frag, tag):
     """A first fragment as a forwarder sends it on: under its own `tag`.
 
-    The compressed-header size is one for the whole run, so the fragment
-    fits the next hop as it fit this one and is never split.
+    Every node's compressed header has the same size, so the fragment fits
+    the next hop as it fit this one and is never split.
     """
     return [Fragment(Frag1Header(first_frag.header.datagram_size, tag),
-                     first_frag.payload, first_frag.comp_size)]
+                     first_frag.payload)]

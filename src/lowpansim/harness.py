@@ -26,7 +26,7 @@ from .node_stack import (HEADER_BYTES, STRATEGIES, Node, NodeConfig,
 from .sim_core import Medium, Simulator
 from .topology import load_topology
 
-# UDP payload bytes -> fragment count for the default frame model.
+# UDP payload bytes -> fragment count in the frame model.
 FRAG_COUNT_TABLE = (
     (16, 1), (80, 2), (176, 3), (272, 4), (368, 5), (464, 6), (560, 7),
     (656, 8), (752, 9), (848, 10), (944, 11), (1040, 12), (1136, 13),
@@ -163,12 +163,11 @@ _SCHEMA = (
     ("mac", _params(        # max_be: IEEE 802.15.4's macMaxBE range
         MacParams, max_retransmissions=_int(0), min_be=_int(0),
         max_be=_int(0, hi=8), max_csma_backoffs=_int(0), ack_timeout_us=_WAIT,
-        rx_handover_us=_WAIT, queue_capacity=_int(0, null=True),
-        l2_overhead=_int(0)), MacParams()),
+        rx_handover_us=_WAIT, queue_capacity=_int(0, null=True)),
+     MacParams()),
     ("stack", _params(
-        StackParams, comp_header_bytes=_int(0), reassembly_timeout_us=_WAIT,
-        vrb_lifetime_us=_WAIT, proc_delay_us=_WAIT,
-        frag_buffer_slots=_int(0, null=True),
+        StackParams, reassembly_timeout_us=_WAIT, vrb_lifetime_us=_WAIT,
+        proc_delay_us=_WAIT, frag_buffer_slots=_int(0, null=True),
         arena_bytes=_int(0, null=True)), StackParams()),
 )
 
@@ -184,12 +183,6 @@ class Scenario(namedtuple("Scenario", [key for key, _, _ in _FIELDS],
 
     def topology_path(self):
         return self.base_dir / self.topology
-
-
-def _frag_count(scenario, payload):
-    return fragment_count(payload + HEADER_BYTES,
-                          scenario.stack.comp_header_bytes, scenario.mac.sdu,
-                          STRATEGIES[scenario.strategy].policy)
 
 
 def scenario_from_dict(cfg, base_dir=Path(".")):
@@ -212,12 +205,6 @@ def scenario_from_dict(cfg, base_dir=Path(".")):
 
     if scenario.mac.min_be > scenario.mac.max_be:
         raise ScenarioError("mac.min_be must not exceed mac.max_be")
-    try:
-        for payload in scenario.payloads:
-            _frag_count(scenario, payload)
-    except ValueError as err:            # the codec's own limits
-        raise ScenarioError("stack.comp_header_bytes and mac.l2_overhead "
-                            "do not fit a fragment: %s" % err)
     if not scenario.topology_path().is_file():
         raise ScenarioError("topology file not found: %s"
                             % scenario.topology_path())
@@ -258,23 +245,6 @@ def scenario_fingerprint(scenario, topology_sha256):
     ident["topology_sha256"] = topology_sha256
     blob = json.dumps(ident, sort_keys=True).encode("ascii")
     return sha256(blob).hexdigest()
-
-
-def frag_table_check():
-    """Recompute the payload -> fragment count mapping; report mismatches."""
-    comp = StackParams().comp_header_bytes
-    sdu = MacParams().sdu
-    rows, mismatches = [], []
-    for payload, expected in FRAG_COUNT_TABLE:
-        size = payload + HEADER_BYTES
-        minimal = fragment_count(size, comp, sdu, "minimal_first")
-        fill = fragment_count(size, comp, sdu, "fill_first")
-        rows.append((payload, minimal))
-        if minimal != expected or fill != expected:
-            mismatches.append(
-                "payload %d: expected %d fragments, got %d (minimal) / %d "
-                "(fill)" % (payload, expected, minimal, fill))
-    return rows, mismatches
 
 
 class _Rec:
@@ -455,8 +425,10 @@ def _simulate(scenario, topo, seed, payload):
         else:
             violations.append("datagram %d neither delivered nor attributed"
                               % dgram_id)
-    result = Record(payload, _frag_count(scenario, payload), len(recs),
-                    len(latency), latency, violations=violations,
+    frag_count = fragment_count(payload + HEADER_BYTES,
+                                STRATEGIES[scenario.strategy].policy)
+    result = Record(payload, frag_count, len(recs), len(latency), latency,
+                    violations=violations,
                     causes=[Cause(*item) for item in sorted(causes.items())])
     if result.sent != result.delivered + causes.total():
         violations.append("loss-cause conservation broken: %d != %d + %d"

@@ -27,6 +27,8 @@ from collections import deque
 from typing import NamedTuple
 
 MAX_FRAME_BYTES = 127     # PHY payload cap
+L2_OVERHEAD = 23          # MAC header + FCS bytes per frame
+SDU = MAX_FRAME_BYTES - L2_OVERHEAD   # frame bytes left for 6LoWPAN content
 PHY_OVERHEAD_BYTES = 6    # preamble 4 + SFD 1 + length 1
 US_PER_BYTE = 32          # 8 bits at 250 kbit/s
 UNIT_BACKOFF_US = 320     # 20 symbols
@@ -45,18 +47,12 @@ class MacParams(NamedTuple):
     max_csma_backoffs: int = 4
     ack_timeout_us: int = 864       # 54 symbols
     queue_capacity: int = 64        # None = unbounded
-    l2_overhead: int = 23           # MAC header + FCS bytes per frame
     # A received frame occupies the transceiver's single buffer until the
     # host reads it out; new frames arriving in that window are lost without
     # acknowledgement, and the window is invisible to other nodes' CCA.
     # Logic-analyzer traces of real hardware put the whole busy stretch near
     # 4 ms for typical fragments: airtime plus roughly this handover time.
     rx_handover_us: int = 1000
-
-    @property
-    def sdu(self):
-        """Link SDU: frame bytes left for 6LoWPAN content."""
-        return MAX_FRAME_BYTES - self.l2_overhead
 
 
 class Frame(NamedTuple):
@@ -109,7 +105,7 @@ class Mac:
     # -- helpers ------------------------------------------------------------
 
     def wire_size(self, frame):
-        return self.params.l2_overhead + frame.fragment.content_len
+        return L2_OVERHEAD + frame.fragment.content_len
 
     def reception_ended(self, rx):
         """Close the reception `rx` opened here; return whether its frame

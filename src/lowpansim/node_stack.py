@@ -70,7 +70,6 @@ class NodeConfig(NamedTuple):
 
 
 class StackParams(NamedTuple):
-    comp_header_bytes: int = 24
     reassembly_timeout_us: int = 10_000_000
     vrb_lifetime_us: int = 10_000_000
     proc_delay_us: int = 2000
@@ -124,8 +123,7 @@ class Node:
             self.on_drop(dgram_id, "frag_buf_full")
             return False
         tag = self.tags.acquire()
-        frags = fragment_datagram(datagram, self.stack.comp_header_bytes, tag,
-                                  self.mac.params.sdu, self.strategy.policy)
+        frags = fragment_datagram(datagram, tag, self.strategy.policy)
         self.jobs[tag] = len(frags)
         send, new = self.mac.send, tuple.__new__
         for frag in frags:
@@ -201,11 +199,11 @@ class Node:
             self._reassemble_step(key, frag, dgram_id)
             return
         # Only the tag changes, so the content length carries over.
-        header, payload, comp_size, content_len = frag
+        header, payload, content_len = frag
         new = tuple.__new__
         out = new(Fragment, (new(FragNHeader, (header[0], entry.out_tag,
                                                header[2])),
-                             payload, comp_size, content_len))
+                             payload, content_len))
         entry.covered_bytes += len(payload)
         if self._vrb_emit(entry, out, dgram_id):
             if entry.covered_bytes >= key.datagram_size:

@@ -224,8 +224,7 @@ def _arrivals(draw):
     policy, as (offset, bytes) in any arrival order."""
     size = draw(st.integers(145, MAX_DATAGRAM))    # too big for one frame
     datagram = random.Random(draw(st.integers(0, 2 ** 32))).randbytes(size)
-    frags = fragment_datagram(datagram, draw(st.integers(0, 40)), 0, 104,
-                              draw(st.sampled_from(POLICIES)))
+    frags = fragment_datagram(datagram, 0, draw(st.sampled_from(POLICIES)))
     pieces = [(f.offset, f.payload) for f in frags]
     return datagram, draw(st.permutations(pieces))
 

@@ -15,24 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 import lowpansim
 from lowpansim.cli import main
-from lowpansim.frag_codec import (FRAG1_HEADER_LEN, FRAGN_HEADER_LEN,
-                                  MAX_COMP_HEADER)
 from lowpansim.harness import (MAX_WAIT_US, STUDY_PAYLOADS, _render_run,
                                read_run_file)
-from lowpansim.link_mac import MAX_FRAME_BYTES
 from lowpansim.node_stack import STRATEGIES
 from lowpansim.topology import save_topology
 
 from test_harness import line_topology, write_scenario
 from test_topology import NEGATIVE_ID
-
-
-def test_frag_table_check_command(capsys):
-    assert main(["frag-table-check"]) == 0
-    out = capsys.readouterr().out
-    assert "16 bytes ->  1 fragment(s)" in out
-    assert "1232 bytes -> 14 fragment(s)" in out
-    assert "table check ok (14 rows)" in out
 
 
 def test_generate_topology_reproduces_the_packaged_fixture(tmp_path, capsys):
@@ -198,14 +187,19 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
     # Keys the schema does not have, such as a poll interval for the MAC
-    # queue or a switch for the route check.
-    for over in ({"mac": {"queue_retry_us": 5000}}, {"check_paths": True}):
+    # queue, a switch for the route check, or the frame model's MAC
+    # overhead and compressed header size, fixed even at their values.
+    for over in ({"mac": {"queue_retry_us": 5000}}, {"check_paths": True},
+                 {"mac": {"l2_overhead": 23}},
+                 {"stack": {"comp_header_bytes": 24}}):
         scn = write_scenario(tmp_path, line_topology(3), **over)
+        out = tmp_path / "unknown"
         assert main(["run", "--scenario", str(scn),
-                     "--out", str(tmp_path / "o")]) == 2, over
+                     "--out", str(out)]) == 2, over
         err = capsys.readouterr().err
         assert err.startswith("error: unknown") and "Traceback" not in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     # A topology file with a byte outside ASCII.
     scn = write_scenario(tmp_path, line_topology(3))
@@ -252,6 +246,13 @@ def test_configuration_errors_exit_2(tmp_path, capsys):
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "argument --jobs" in err and "Traceback" not in err
+
+    # No subcommand checks the fragment-count table: with the frame model
+    # fixed, it could only print what a02 asserts.
+    with pytest.raises(SystemExit) as exit_:
+        main(["frag-table-check"])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("over, code", (
@@ -344,10 +345,6 @@ def any_scenario(draw):
     """A scenario drawing every key from its valid domain, on a small
     network with one or two datagrams per source.  Retry and backoff counts
     stay small so that each example ends quickly."""
-    comp = draw(st.integers(0, MAX_COMP_HEADER))
-    # The codec's limits: a FRAGN with 8 bytes and a FRAG1 with the
-    # compressed header must each fit the link SDU.
-    sdu_min = max(FRAGN_HEADER_LEN + 8, FRAG1_HEADER_LEN + comp)
     min_be = draw(st.integers(0, 8))
     lo = draw(st.integers(1, MAX_WAIT_US))
     return {
@@ -373,11 +370,9 @@ def any_scenario(draw):
             "max_csma_backoffs": draw(st.integers(0, 3)),
             "ack_timeout_us": draw(WAITS),
             "queue_capacity": draw(st.one_of(st.none(), st.integers(0, 8))),
-            "l2_overhead": draw(st.integers(0, MAX_FRAME_BYTES - sdu_min)),
             "rx_handover_us": draw(WAITS),
         },
         "stack": {
-            "comp_header_bytes": comp,
             "reassembly_timeout_us": draw(WAITS),
             "vrb_lifetime_us": draw(WAITS),
             "proc_delay_us": draw(WAITS),

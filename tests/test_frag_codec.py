@@ -8,6 +8,7 @@ integer instead of per-field bytes.
 import pytest
 
 from lowpansim.frag_codec import (
+    COMP_HEADER_BYTES,
     FRAGN_HEADER_LEN,
     FRAG1_HEADER_LEN,
     HEADER_REGION,
@@ -24,6 +25,7 @@ from lowpansim.frag_codec import (
     fragment_datagram,
     refragment_first,
 )
+from lowpansim.link_mac import SDU
 
 
 def _frag1_oracle(size, tag):
@@ -73,14 +75,6 @@ def test_encode_range_errors():
         encode_header(FragNHeader(0, 0, -1))
 
 
-def test_compression_header_size_is_range_checked():
-    for comp in (0, 40):
-        assert fragment_datagram(bytes(200), comp, 1, 104, "fill_first")
-    for comp in (-1, 41):
-        with pytest.raises(FragmentationError):
-            fragment_datagram(bytes(200), comp, 1, 104, "fill_first")
-
-
 # --- header decode ---------------------------------------------------------
 
 def test_decode_inverse_of_encode_sampled():
@@ -116,20 +110,17 @@ def test_decode_ignores_trailing_payload():
 
 # --- fragment_datagram -----------------------------------------------------
 
-SDU = 104          # 127-byte frame minus 23 bytes of L2 overhead
-COMP = 24
-
-
 def _datagram(n):
     """Deterministic position-dependent datagram of n bytes."""
     return bytes((i * 13 + 7) & 0xFF for i in range(n))
 
 
 def _wire_payload_len(frag):
-    """Bytes after the fragment header on the wire."""
-    if frag.comp_size is not None:
-        return frag.comp_size + len(frag.payload) - HEADER_REGION
-    return len(frag.payload)
+    """Bytes after the fragment header on the wire: a first or unfragmented
+    fragment carries the compressed header in place of the header region."""
+    if isinstance(frag.header, FragNHeader):
+        return len(frag.payload)
+    return COMP_HEADER_BYTES + len(frag.payload) - HEADER_REGION
 
 
 def reassemble(fragments):
@@ -152,17 +143,17 @@ def reassemble(fragments):
 def test_single_frame_when_compressed_fits():
     # 64-byte datagram compresses to 24 + 24 = 48 <= 104: one plain frame.
     dg = _datagram(64)
-    frags = fragment_datagram(dg, COMP, tag=1, sdu=SDU, policy="minimal_first")
+    frags = fragment_datagram(dg, tag=1, policy="minimal_first")
     assert len(frags) == 1
     assert frags[0].header is None
     assert frags[0].payload == dg
-    assert frags[0].comp_size == 24
+    assert frags[0].content_len == 48
 
 
 def test_degenerate_empty_payload_single_frame():
     dg = _datagram(48)  # UDP/IPv6 headers only
     for policy in ("minimal_first", "fill_first"):
-        frags = fragment_datagram(dg, COMP, tag=1, sdu=SDU, policy=policy)
+        frags = fragment_datagram(dg, tag=1, policy=policy)
         assert len(frags) == 1 and frags[0].header is None
 
 
@@ -179,13 +170,13 @@ FRAG_COUNT_TABLE = [
 def test_fragment_counts_match_published_mapping(payload, expected):
     dg = _datagram(payload + 48)
     for policy in ("minimal_first", "fill_first"):
-        frags = fragment_datagram(dg, COMP, tag=9, sdu=SDU, policy=policy)
+        frags = fragment_datagram(dg, tag=9, policy=policy)
         assert len(frags) == expected, (payload, policy)
 
 
 def test_minimal_first_carries_no_data_in_first_fragment():
     dg = _datagram(1280)
-    frags = fragment_datagram(dg, COMP, tag=2, sdu=SDU, policy="minimal_first")
+    frags = fragment_datagram(dg, tag=2, policy="minimal_first")
     first = frags[0]
     assert isinstance(first.header, Frag1Header)
     # Only the header region (covered by the compression header), no payload.
@@ -197,7 +188,7 @@ def test_fragment_tiling_and_offsets():
     for n in (128, 216, 608, 1280, 1320):
         dg = _datagram(n)
         for policy in ("minimal_first", "fill_first"):
-            frags = fragment_datagram(dg, COMP, tag=3, sdu=SDU, policy=policy)
+            frags = fragment_datagram(dg, tag=3, policy=policy)
             assert isinstance(frags[0].header, Frag1Header)
             assert frags[0].header.datagram_size == n
             cover = len(frags[0].payload)
@@ -222,10 +213,9 @@ def test_fragment_tiling_and_offsets():
 def test_reassemble_roundtrip_sweep():
     for n in range(48, 1321, 61):
         dg = _datagram(n)
-        for sdu in (60, 81, 104, 127):
-            for policy in ("minimal_first", "fill_first"):
-                frags = fragment_datagram(dg, COMP, tag=5, sdu=sdu, policy=policy)
-                assert reassemble(frags) == dg
+        for policy in ("minimal_first", "fill_first"):
+            frags = fragment_datagram(dg, tag=5, policy=policy)
+            assert reassemble(frags) == dg
 
 
 def test_fragment_count_policy_relation_full_sweep():
@@ -233,36 +223,29 @@ def test_fragment_count_policy_relation_full_sweep():
     # the remainder after the first fill-first fragment exceeds its data
     # capacity); in general minimal_first needs at most one extra fragment.
     for n in range(48, 1321):
-        cf = fragment_count(n, COMP, SDU, "fill_first")
-        cm = fragment_count(n, COMP, SDU, "minimal_first")
+        cf = fragment_count(n, "fill_first")
+        cm = fragment_count(n, "minimal_first")
         assert cf <= cm <= cf + 1, n
     for payload, expected in FRAG_COUNT_TABLE:
         n = payload + 48
-        assert fragment_count(n, COMP, SDU, "fill_first") == expected
-        assert fragment_count(n, COMP, SDU, "minimal_first") == expected
+        assert fragment_count(n, "fill_first") == expected
+        assert fragment_count(n, "minimal_first") == expected
 
 
 def test_fragment_count_matches_fragment_datagram_sweep():
     for n in range(48, 1321, 37):
-        for sdu in (60, 77, 104, 127):
-            for policy in ("minimal_first", "fill_first"):
-                frags = fragment_datagram(_datagram(n), COMP, tag=1, sdu=sdu,
-                                          policy=policy)
-                assert len(frags) == fragment_count(n, COMP, sdu, policy)
+        for policy in ("minimal_first", "fill_first"):
+            frags = fragment_datagram(_datagram(n), tag=1, policy=policy)
+            assert len(frags) == fragment_count(n, policy)
 
 
 def test_fragmentation_errors():
     with pytest.raises(FragmentationError):
-        fragment_datagram(_datagram(1321), COMP, tag=1, sdu=SDU,
-                          policy="minimal_first")
+        fragment_datagram(_datagram(1321), tag=1, policy="minimal_first")
     with pytest.raises(FragmentationError):
-        fragment_datagram(_datagram(200), COMP, tag=1, sdu=12,
-                          policy="minimal_first")  # sdu < FRAGN header + 8
+        fragment_datagram(_datagram(200), tag=1, policy="widest_first")
     with pytest.raises(FragmentationError):
-        fragment_datagram(_datagram(200), COMP, tag=1, sdu=SDU,
-                          policy="widest_first")
-    with pytest.raises(FragmentationError):
-        fragment_datagram(_datagram(30), COMP, tag=1, sdu=SDU,
+        fragment_datagram(_datagram(30), tag=1,
                           policy="minimal_first")  # shorter than header region
 
 
@@ -273,10 +256,10 @@ def test_refragment_retags_the_first_fragment():
     # tag; content_len is that of a fragment built afresh.
     dg = _datagram(1280)
     for policy in ("minimal_first", "fill_first"):
-        first = fragment_datagram(dg, COMP, tag=7, sdu=SDU, policy=policy)[0]
+        first = fragment_datagram(dg, tag=7, policy=policy)[0]
         [out] = refragment_first(first, 9)
         assert out.header == Frag1Header(1280, 9)
         assert out.payload == first.payload
-        assert out.comp_size == first.comp_size == 24
+        assert type(out.header) is type(first.header) is Frag1Header
         assert out.content_len == first.content_len
-        assert out == Fragment(Frag1Header(1280, 9), first.payload, 24)
+        assert out == Fragment(Frag1Header(1280, 9), first.payload)

@@ -8,10 +8,11 @@ their failure paths.  test_a11 only compares two runs of one commit; this
 test also catches drift between commits.  A change that alters behaviour
 or the run-file format on purpose replaces the digests below with the
 ones the failure message prints and says why.  They last changed with the
-format alone: the [scenario] block lost `check_paths` and
-`mac.queue_retry_us` and writes an unbounded table size as `none`, and
-[node_counters] lost the `duplicate_fragments` column, which was 0 in
-every row.  Every other row and every event count below stayed as it was.
+format alone: the frame model became fixed, so the [scenario] block's
+`mac` cell lost `l2_overhead` and its `stack` cell lost
+`comp_header_bytes`, which changes the `fingerprint` line of every run
+file and aggregate.json.  Every other line and every event count below
+stayed as it was.
 
 Each (setting, strategy) also pins the number of events its simulations
 schedule, `Simulator._seq` after `run()` summed over every simulation.  A
@@ -62,75 +63,75 @@ SETTINGS = {
 GOLDEN = {
     ("edges", "HWR"): {
         "aggregate.json":
-            "b1538515c08d1fc9e37faee79f6f5b386ba738e62ad83de30a276575e8b03b6a",
+            "852b0486104ff7a910c1415e5e78bc8cb9eb2f8427ac17a1e47270683781e228",
         "run-00.txt":
-            "e593fc153b09e6248c90633de228e96e846b015727adeab360e57c1ba569c111",
+            "fa011668d1f92c6cd51f1e16b89862d63bb8e1cb1a1e3ba043b2a7791d96ed94",
         "run-01.txt":
-            "9ef8f620bfb8c93763f8c3cdf88896df3391aac1f0e94a572f19771df3167687",
+            "fb43e5b3cf31a9484e91676972cd50e74817bdcd6912774223b74ed5a86c3dc1",
     },
     ("edges", "FF"): {
         "aggregate.json":
-            "7de6e8d2b579f33899a37046ee659431a1e6fdb55c9622828b5f3210e8be81d1",
+            "3135f8e29b8cdb8e52d76be6b146a141c15ae7a0ef1617e3c4ad329f6c77928c",
         "run-00.txt":
-            "24e9f9792c7b6b4141c890adf03a80751c1ab983a889c4f077c917d8eef56601",
+            "394e312cab3dd2ec9d5350604fb8adb425319be06a760704ab762df9a98cf10a",
         "run-01.txt":
-            "dd9f26149b8e2f0e6fff06e25d861f1bad5aedcc0facba9aed32c7013ceed856",
+            "e05028b4b6a6e8b4de3179dd6e590c79aef55207756cc7f3862d523fe8a7fdf6",
     },
     ("edges", "FF_QUEUED"): {
         "aggregate.json":
-            "2565733bd5427ec8bc3f39ce7c7c2cb9f2ea188511d2429120bb8e6c89451880",
+            "56e533ece2b73694d54cfac7fa3c469186dc292323d628ca4e98ea47891d80bd",
         "run-00.txt":
-            "78bcbed0f842fa515e0a26bf385dec660d151b72a3f871c1496607d8fe43cda5",
+            "34910e7dff68b3bf90f251cdcdf6c2b05760d7a568317fbd6ef4b6fe63c0d50b",
         "run-01.txt":
-            "0c0d4ba8987a00818de604beac62ba342d5a9c328fe42aaeee003d1e1016c87e",
+            "645208b16a87c9e34bfd7c275c984034c0583ff1bf63fb6f86a5ff71f78e941f",
     },
     ("lossless", "HWR"): {
         "aggregate.json":
-            "bb5adb6c10bfba2ba3c00bf2aa158a23372b432d9005e52c725cb214913fa09f",
+            "34bd96365403d769f191fd7f2d43b7f7af44944801eb89f10895cad4ffab08c8",
         "run-00.txt":
-            "0a3f9e0e5687b3f5ca9e2df81f6d3d58e5ce0ede4ca36ecca438a72e8256a405",
+            "2b781ad1d09db9b24df5bea6fd3f5d6c0b4debb43428033a60b3eae2aa6b3193",
         "run-01.txt":
-            "1b642347cbe628bfe877220d3af412af4daa95c75277c3bd7c9046a41ae39368",
+            "dccdbddd9ad486b4dbfabcbb05f1ace1b4d08fff2020de3d6ac2183ec39892e0",
     },
     ("lossless", "FF"): {
         "aggregate.json":
-            "c8df447abecdf786b3cd57530ba65c36be80578ed319c0c493d1f09a23835dd0",
+            "e4e2e50535b6a410d75e6bdd204d43eeb8276d599d9ac1ac321114e9021a0d1f",
         "run-00.txt":
-            "01bd824a19e4cdaf28ab4d15bcfa2b6288297efbbe563ddbb25c527cf5dd4b28",
+            "a74d39a7f8b1be9c9ca4576c20e3aadb859935ea7a99a5096e86a459331fc09d",
         "run-01.txt":
-            "8f3f366a81afb3b55a4ba1a2996c3143a13c5125ebbec0d67239bc61120376c4",
+            "342f17c0d0ee5791dc79c89c33ebe53ab871992983ce4272d32d1f640bf32fb2",
     },
     ("lossless", "FF_QUEUED"): {
         "aggregate.json":
-            "c7259395b5aa9fbad85d761ba623cd2f54de64ebdbcd0102aaaeecbbfdb5446f",
+            "5ce9a2f8e50f36af5e3c9dafb86106ee5aa7c38d4028c979fa6f89210001406a",
         "run-00.txt":
-            "255af07a245221cee882f3bfc7b13b5baac4dafdaf361adb272abc706e3bb723",
+            "3904af82c655d9515c18edb4c64a517722cf913ee77e66e9a55a3a9d458cb789",
         "run-01.txt":
-            "3c9d183fa337fba5f516743cd3da2d5f59d4c61cace3938fc796b62375d799ed",
+            "fc9af4a1b2f8add2cc37d795564a7d7ce7685d774c97a23c6e8f502d2307f3df",
     },
     ("lossy", "HWR"): {
         "aggregate.json":
-            "2fa282b0710c70ae33ea1084ac80c14a3b3efaddc74525dfad033e9b24067957",
+            "9b284da799c95850dd9d9769bb903b14a1206bf0c93a4d820dbad549352b0980",
         "run-00.txt":
-            "26656aab5ed60fc982c0c45e8d34919ac59954a7592ed97b6c83863e21e80763",
+            "89ddd432c5e903ac81e8d624f7dd23f2306415533ae431a4a549356798dd9b52",
         "run-01.txt":
-            "1f1cbc62132d8b66a255ab14d303dac8f7fc7699e16281d9634c3852111f83b2",
+            "9fe48505189d6196585b331a4f4fad2c193492e3b72f7f4cdcebaa0f6f0e3a57",
     },
     ("lossy", "FF"): {
         "aggregate.json":
-            "b82aa0afaacb5e0084e90ac66be9a0c0b179bba9c796767ab47ff7fe09d3ba85",
+            "5deda98ddab94a500b9647290bc603f6cb1cd5d81ca9fd6c384945021926639a",
         "run-00.txt":
-            "48f53b7b78295122e65f6e27c69b9c9e7509dfb37ef96c84072e7e406367ec97",
+            "2c3a421439165c29c0e5ed82f2e77504fc50e6f98e6f2514c07c796ef9f15ef1",
         "run-01.txt":
-            "d1f0e74767f62382315b234ae2a3cc880b6a7166292a37747112879fcfc5bf3e",
+            "43af70d04e4fc464a6dad08980e73f6e34e7aa5821c00e7dfd58812e7ae1b7bf",
     },
     ("lossy", "FF_QUEUED"): {
         "aggregate.json":
-            "e21c5dd94bb46ac97f9cf983ea5395958cee270141e2c4206f88e5c52227bf4f",
+            "0595eb89bec74aca40f0ea82902a67fb631972759fb093d307bb5a1f81576765",
         "run-00.txt":
-            "d42f3dc79affbd5fa2c88104de828d79a0850b734583fb5e4f73f7521a373024",
+            "660ccf7d21d0be18722e4c14ee0218a3d053552d61aae4967d0e4b6a9ab19aa0",
         "run-01.txt":
-            "d82cc1d13a3edaf734fd3de74c01c17e2caf1196fc5dc5d6af09c951e8adf37d",
+            "5bbc4075c07528f7d7c5f2ff10e24fd713230b167e65e595e4f98a48733984a8",
     },
 }
 

@@ -16,12 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from lowpansim import harness
 from lowpansim.cli import main
-from lowpansim.harness import (Run, ScenarioError, FRAG_COUNT_TABLE,
-                               MAX_WAIT_US, _SCHEMA,
+from lowpansim.harness import (Run, ScenarioError, MAX_WAIT_US, _SCHEMA,
                                _render_run, _scenario_block, aggregate_runs,
                                load_scenario, read_run_file, run_experiment,
-                               frag_table_check, scenario_fingerprint,
-                               worker_count)
+                               scenario_fingerprint, worker_count)
 from lowpansim.link_mac import CCA_DUR_US, Frame, MacParams, airtime_us
 from lowpansim.node_stack import StackParams
 from lowpansim.topology import Topology, link_pdr, save_topology
@@ -59,13 +57,6 @@ def write_scenario(tmp_path, topo, name="scn.json", **over):
     return path
 
 
-def test_frag_table_check_is_clean():
-    rows, mismatches = frag_table_check()
-    assert mismatches == []
-    assert rows == list(FRAG_COUNT_TABLE)
-    assert (176, 3) in rows and (1040, 12) in rows and (16, 1) in rows
-
-
 def test_scenario_validation(tmp_path):
     topo = line_topology(4)
     good = write_scenario(tmp_path, topo)
@@ -98,13 +89,13 @@ def test_scenario_validation(tmp_path):
         {"mac": {"min_be": 3, "max_be": 1}},
         {"mac": {"max_be": 9}},
         {"mac": {"min_be": 64, "max_be": 64}},
-        {"mac": {"l2_overhead": 200}},
+        {"mac": {"l2_overhead": 23}},
         {"mac": {"queue_retry_us": 5000}},
         {"mac": {"ack_timeout_us": MAX_WAIT_US + 1}},
         {"stack": {"proc_delay_us": -5}},
         {"stack": {"proc_delay_us": MAX_WAIT_US + 1}},
         {"stack": {"reassembly_timeout_us": 10 ** 19}},
-        {"stack": {"comp_header_bytes": 41}},
+        {"stack": {"comp_header_bytes": 24}},
         {"version": 2},
         {"version": True},
         {"version": 1.0},

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from lowpansim.buffers import PacketArena
 from lowpansim.frag_codec import Fragment
 from lowpansim.link_mac import (CCA_DUR_US, UNIT_BACKOFF_US, Frame, Mac,
@@ -12,11 +14,11 @@ from lowpansim.sim_core import Medium, Simulator
 
 def full_frame():
     # 104 content bytes -> 127 bytes on the wire with 23 bytes L2 overhead.
-    return Fragment(None, bytes(120), 24)
+    return Fragment(None, bytes(120))
 
 
 def small_frame():
-    return Fragment(None, bytes(56), 24)   # 40 content bytes
+    return Fragment(None, bytes(56))   # 40 content bytes
 
 
 # Deterministic MAC: zero backoff windows.
@@ -122,26 +124,17 @@ def test_queue_overflow_drops_newest():
     assert [f.dgram_id for _, f, _ in rig.delivered] == [0, 1]
 
 
-def test_queued_frame_starts_when_radio_frees():
-    rig = Rig([(1, 2)])
-    hold_transceiver(rig.macs[1], 3000)
-    f = Frame(1, 2, small_frame(), dgram_id=1)
-    rig.macs[1].send(f)
-    rig.sim.run()
-    (_, _, t) = rig.delivered[0]
-    assert t == 3000 + CCA_DUR_US + airtime_us(63)
-
-
-def test_queued_frame_retries_every_5ms_while_busy():
-    # A hold longer than 5 ms: the queued frame still starts exactly at the
+@pytest.mark.parametrize("hold", (3000, 9000))
+def test_queued_frame_starts_when_radio_frees(hold):
+    # However long the hold, the queued frame starts exactly at the
     # release, with no earlier wake-up to add to its wait.
     rig = Rig([(1, 2)])
-    hold_transceiver(rig.macs[1], 9000)
+    hold_transceiver(rig.macs[1], hold)
     f = Frame(1, 2, small_frame(), dgram_id=1)
     rig.macs[1].send(f)
     rig.sim.run()
     (_, _, t) = rig.delivered[0]
-    assert t == 9000 + CCA_DUR_US + airtime_us(63)
+    assert t == hold + CCA_DUR_US + airtime_us(63)
 
 
 def test_hidden_senders_collide_then_recover():

@@ -7,7 +7,8 @@ import pytest
 
 from lowpansim.frag_codec import (Frag1Header, FragNHeader, Fragment,
                                   fragment_datagram)
-from lowpansim.link_mac import CCA_DUR_US, Frame, MacParams, airtime_us
+from lowpansim.link_mac import (CCA_DUR_US, L2_OVERHEAD, Frame, MacParams,
+                                airtime_us)
 from lowpansim.node_stack import Node, NodeConfig, StackParams, build_datagram
 from lowpansim.sim_core import Medium, Simulator
 from lowpansim.vrb import TagAllocator
@@ -204,7 +205,7 @@ def inject(line, frags, order, times, dgram_id=42):
 
 def source_frags(payload=272, dgram_id=42):
     datagram = build_datagram(0, dgram_id, payload)
-    return fragment_datagram(datagram, 24, 7, 104, "minimal_first"), datagram
+    return fragment_datagram(datagram, 7, "minimal_first"), datagram
 
 
 def test_ff_missing_first_fragment_times_out_flagged():
@@ -254,8 +255,7 @@ def test_ff_tag_rewrite_keeps_content_len_of_fresh_fragments():
         [Frag1Header] + [FragNHeader] * (len(frags) - 1))
     assert {f.header.datagram_tag for f in sent} == {0}   # forwarder's tag
     for f in sent:
-        assert f.content_len == Fragment(f.header, f.payload,
-                                         f.comp_size).content_len
+        assert f.content_len == Fragment(f.header, f.payload).content_len
 
 
 def test_shared_parameter_records_are_read_only():
@@ -386,7 +386,7 @@ def test_ff_queued_arena_drains_after_enqueue_failure():
     # full, which drops the datagram and frees everything queued so far.
     # The last fragment then finds no entry and times out in the rbuf.
     frags, _ = source_frags()
-    wire = DET.l2_overhead + max(f.content_len for f in frags)
+    wire = L2_OVERHEAD + max(f.content_len for f in frags)
     line = Line(3, "FF_QUEUED", stack=StackParams(arena_bytes=2 * wire + 1))
     inject(line, frags, [0, 1, 2, 3], [0, 3000, 6000, 9000])
     line.run()

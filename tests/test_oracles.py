@@ -27,10 +27,10 @@ from fractions import Fraction
 import pytest
 
 from lowpansim.buffers import PacketArena
-from lowpansim.frag_codec import Fragment
+from lowpansim.frag_codec import COMP_HEADER_BYTES, HEADER_REGION, Fragment
 from lowpansim.harness import Scenario, _simulate
-from lowpansim.link_mac import (CCA_DUR_US, UNIT_BACKOFF_US, Frame, Mac,
-                                MacParams, airtime_us)
+from lowpansim.link_mac import (CCA_DUR_US, L2_OVERHEAD, UNIT_BACKOFF_US,
+                                Frame, Mac, MacParams, airtime_us)
 from lowpansim.metrics import NodeCounters
 from lowpansim.node_stack import StackParams
 from lowpansim.sim_core import Medium, Simulator
@@ -151,8 +151,9 @@ def test_lossless_line_direct_forwarding_retransmits_more(simulate):
 
 # -- contention between two hidden senders --------------------------------
 
-# Frames of 124 wire bytes: 101 content bytes and the default 23 bytes of
-# link-layer overhead.
+# Frames of 124 wire bytes: 101 content bytes and the 23 bytes of
+# link-layer overhead.  The content is an unfragmented datagram whose
+# 40-byte header region travels as the 24-byte compressed header.
 HIDDEN_FRAME_BYTES = 124
 HIDDEN_SEEDS = range(1, 10_001)
 
@@ -176,7 +177,8 @@ def contending_pair(be, handover, seed, exposed=False):
     medium.add_link(macs[2], macs[0], 1.0)
     if exposed:
         medium.add_link(macs[1], macs[2], 1.0)
-    payload = bytes(HIDDEN_FRAME_BYTES - params.l2_overhead)
+    payload = bytes(HIDDEN_FRAME_BYTES - L2_OVERHEAD + HEADER_REGION
+                    - COMP_HEADER_BYTES)
     for i in (1, 2):
         macs[i].send(Frame(i, 0, Fragment(None, payload), dgram_id=i))
     sim.run()
