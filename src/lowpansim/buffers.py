@@ -16,7 +16,9 @@ descriptors and arena occupancy into a byte count.
 
 from typing import NamedTuple
 
-NAIVE_ENTRY_BYTES = 2 * (8 + 1) + 2 + 2 + 1280    # = 1302
+from .frag_codec import MAX_DATAGRAM
+
+NAIVE_ENTRY_BYTES = 2 * (8 + 1) + 2 + 2 + MAX_DATAGRAM    # = 1302
 ARENA_ENTRY_BYTES = 22
 
 

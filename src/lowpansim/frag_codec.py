@@ -24,7 +24,7 @@ Two fragmentation policies:
 - minimal_first: the first fragment carries only the FRAG1 header and the
   compressed header.  RFC 8930 chooses it so that a forwarder could swap in
   a larger compressed header without re-fragmenting; here every node has
-  the same header size, so a forwarder only retags the first fragment.
+  the same header size, so a forwarder only retags each fragment (`retag`).
 """
 
 from collections import namedtuple
@@ -40,7 +40,7 @@ FRAGN_HEADER_LEN = 5
 
 HEADER_REGION = 40        # uncompressed IPv6 header bytes the comp header replaces
 COMP_HEADER_BYTES = 24    # the compressed header that replaces them on the wire
-MAX_DATAGRAM = 1320       # IPv6 minimum MTU (1280) plus the 40-byte header
+MAX_DATAGRAM = 1280       # IPv6 minimum MTU, the IPv6 header included
 MAX_DATAGRAM_SIZE_FIELD = 2047   # 11-bit size field
 MAX_TAG = 0xFFFF
 MAX_OFFSET_UNITS = 255
@@ -234,11 +234,16 @@ def fragment_datagram(datagram, tag, policy):
     return frags
 
 
-def refragment_first(first_frag, tag):
-    """A first fragment as a forwarder sends it on: under its own `tag`.
+def retag(frag, tag):
+    """`frag` as a forwarder sends it on, under its own datagram `tag`.
+    Every node's compressed header has the same size, so only the tag
+    changes: the fragment is never split and its content_len carries over."""
+    header = frag[0]
+    new = tuple.__new__
+    return new(Fragment, (new(type(header), (header[0], tag) + header[2:]),
+                          frag[1], frag[2]))
 
-    Every node's compressed header has the same size, so the fragment fits
-    the next hop as it fit this one and is never split.
-    """
-    return [Fragment(Frag1Header(first_frag.header.datagram_size, tag),
-                     first_frag.payload)]
+
+def refragment_first(first_frag, tag):
+    """A first fragment as a forwarder sends it on, as a list of one."""
+    return [retag(first_frag, tag)]

@@ -26,13 +26,9 @@ from .node_stack import (HEADER_BYTES, STRATEGIES, Node, NodeConfig,
 from .sim_core import Medium, Simulator
 from .topology import load_topology
 
-# UDP payload bytes -> fragment count in the frame model.
-FRAG_COUNT_TABLE = (
-    (16, 1), (80, 2), (176, 3), (272, 4), (368, 5), (464, 6), (560, 7),
-    (656, 8), (752, 9), (848, 10), (944, 11), (1040, 12), (1136, 13),
-    (1232, 14),
-)
-STUDY_PAYLOADS = tuple(p for p, _ in FRAG_COUNT_TABLE)
+# The study's UDP payload bytes: 1 to 14 fragments in the frame model.
+STUDY_PAYLOADS = (16, 80, 176, 272, 368, 464, 560, 656, 752, 848, 944, 1040,
+                  1136, 1232)
 
 
 class ScenarioError(ValueError):

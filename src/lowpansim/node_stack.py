@@ -31,13 +31,13 @@ except ImportError:                         # built without them
     from hashlib import sha256, shake_256
 
 from .buffers import DatagramKey, PacketArena, ReassemblyBuffer
-from .frag_codec import (Frag1Header, FragNHeader, Fragment,
-                         fragment_datagram, refragment_first)
+from .frag_codec import (HEADER_REGION, Frag1Header, fragment_datagram,
+                         refragment_first, retag)
 from .link_mac import Frame, Mac
 from .metrics import NodeCounters
 from .vrb import TagAllocator, VrbTable
 
-HEADER_BYTES = 48    # 40-byte IPv6 header region + 8-byte UDP header
+HEADER_BYTES = HEADER_REGION + 8    # the IPv6 header, then UDP's 8 bytes
 
 
 class Strategy(NamedTuple):
@@ -65,8 +65,8 @@ class NodeConfig(NamedTuple):
     id: int
     route_next_hop: object          # None exactly at the sink
     strategy: str
-    rbuf_entries: int = 16          # table capacities; None = unbounded
-    vrb_entries: int = 16
+    rbuf_entries: int               # table capacities; None = unbounded
+    vrb_entries: int
 
 
 class StackParams(NamedTuple):
@@ -198,14 +198,8 @@ class Node:
         if entry is None:                # no VRB entry: reassemble instead
             self._reassemble_step(key, frag, dgram_id)
             return
-        # Only the tag changes, so the content length carries over.
-        header, payload, content_len = frag
-        new = tuple.__new__
-        out = new(Fragment, (new(FragNHeader, (header[0], entry.out_tag,
-                                               header[2])),
-                             payload, content_len))
-        entry.covered_bytes += len(payload)
-        if self._vrb_emit(entry, out, dgram_id):
+        entry.covered_bytes += len(frag.payload)
+        if self._vrb_emit(entry, retag(frag, entry.out_tag), dgram_id):
             if entry.covered_bytes >= key.datagram_size:
                 self._vrb_flush(entry)
 

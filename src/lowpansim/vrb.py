@@ -14,8 +14,9 @@ skips live values: no two concurrent outgoing datagrams share a tag.
 """
 
 from .buffers import DeadlineTable
+from .frag_codec import MAX_TAG
 
-TAG_SPACE = 1 << 16
+TAG_SPACE = MAX_TAG + 1
 
 
 class TagAllocator:

@@ -22,11 +22,13 @@ import pytest
 from lowpansim.buffers import ARENA_ENTRY_BYTES, NAIVE_ENTRY_BYTES, mem_usage
 from lowpansim.frag_codec import (Frag1Header, FragNHeader, decode_header,
                                   encode_header, fragment_count)
-from lowpansim.harness import (FRAG_COUNT_TABLE, STUDY_PAYLOADS, Scenario,
-                               aggregate_runs, read_run_file, run_experiment)
+from lowpansim.harness import (STUDY_PAYLOADS, Scenario, aggregate_runs,
+                               read_run_file, run_experiment)
 from lowpansim.link_mac import MacParams
 from lowpansim.node_stack import HEADER_BYTES, Node, NodeConfig, StackParams
 from lowpansim.sim_core import Medium, Simulator
+
+from test_frag_codec import FRAG_COUNT_TABLE
 
 TOPOLOGY = resources.files("lowpansim.data") / "topology50.txt"
 STRATEGIES = ("HWR", "FF", "FF_QUEUED")

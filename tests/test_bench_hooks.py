@@ -28,8 +28,9 @@ from lowpansim.sim_core import Medium, Simulator
 sim = Simulator(seed=1)
 medium = Medium(sim)
 nodes = [Node(NodeConfig(id=i, route_next_hop=i + 1 if i < 2 else None,
-                         strategy="FF"), sim, medium, MacParams(),
-              StackParams(), on_datagram=lambda did, data: None,
+                         strategy="FF", rbuf_entries=16, vrb_entries=16),
+              sim, medium, MacParams(), StackParams(),
+              on_datagram=lambda did, data: None,
               on_drop=lambda did, cause: None)
          for i in range(3)]
 for a, b in zip(nodes, nodes[1:]):

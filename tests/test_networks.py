@@ -17,8 +17,10 @@ violations too.  While it runs:
   header region.
 
 Under the lossless oracle's settings every datagram arrives.  A run that
-keeps scheduling events at one instant fails instead of hanging, so
-hypothesis can shrink a livelock to a small network.
+keeps scheduling events at one instant, or past a horizon or an event
+count bound both fixed from the scenario before it runs (`run_bounds`),
+fails instead of hanging, so hypothesis can shrink a livelock to a small
+network.
 
 Three held-out 50-member networks, generated from two other synthetic
 floor plans and from another start seed, must come out byte-identical on
@@ -38,10 +40,12 @@ from hypothesis import given, settings, strategies as st
 from lowpansim import node_stack
 from lowpansim.buffers import DatagramKey
 from lowpansim.cli import main
-from lowpansim.frag_codec import HEADER_REGION, Frag1Header
+from lowpansim.frag_codec import (HEADER_REGION, POLICIES, Frag1Header,
+                                  fragment_count)
 from lowpansim.harness import STUDY_PAYLOADS, _simulate, scenario_from_dict
-from lowpansim.link_mac import Mac
-from lowpansim.node_stack import STRATEGIES, Node
+from lowpansim.link_mac import (CCA_DUR_US, MAX_FRAME_BYTES, UNIT_BACKOFF_US,
+                                Mac, airtime_us)
+from lowpansim.node_stack import HEADER_BYTES, STRATEGIES, Node
 from lowpansim.sim_core import Simulator
 from lowpansim.topology import Topology, load_topology, save_topology
 from lowpansim.vrb import TagAllocator
@@ -176,16 +180,82 @@ def checked_invariants():
         yield
 
 
+def run_bounds(scenario, topo, payload):
+    """(H, E): no event of the simulation falls after time H, and it
+    schedules at most E events.  Both follow from the scenario and the
+    topology alone, before the run.
+
+    Frames.  Each of the D = senders x packets_per_source datagrams crosses
+    at most `depth` hops, the largest sender's hop distance.  On one hop it
+    is at most F frames, F its fragment count under either policy: a node
+    fragments it once, or forwards the fragments it receives, each once.
+    So at most N = D x (F + 1) x depth frames are handed to a MAC, and each
+    starts at most one job.
+
+    Per job, with R = max_retransmissions and B = max_csma_backoffs: R + 1
+    attempts, each of at most B + 1 backoffs of at most (2^max_be - 1) x
+    320 us (a scenario keeps min_be <= max_be), a 128 us CCA turnaround and
+    at most 4256 us of airtime (a full frame), and R ack timeouts between
+    them.  So a job lasts at most
+        J = (R+1)((B+1)(2^max_be - 1) 320 + 128 + 4256) + R ack_timeout_us
+    and waits at most (R+1)(B+3) + R times, one event each.
+
+    Horizon.  The last send falls at most at D x hi (serialized, one clock)
+    or packets_per_source x hi (one clock per sender).  After it, every
+    event but a table's expiry falls inside or at the end of a job, a
+    frame's processing delay (one per delivered frame) or a receiver's
+    handover hold (one per job): a queued frame waits for its MAC's job or
+    for a reception or hold, and those intervals start only inside or at
+    the end of one another.  Their total length is at most
+    N (J + proc_delay_us + rx_handover_us), and an expiry fires at most
+    the longer table lifetime + 1 after the entry was stored:
+        H = last send + N (J + proc_delay_us + rx_handover_us)
+            + max(reassembly_timeout_us, vrb_lifetime_us) + 1.
+
+    Events.  D sends; the job waits; per frame at most one `_process`, one
+    `_rx_release` and one table expiry (each received frame stores at most
+    one entry); and `_service_event`s.  A MAC has at most one of those
+    pending, as its time never decreases, so it schedules one at most per
+    send, per reception opened at it (at most R + 1 per job) and per hold:
+        E = D + N ((R+1)(B+3) + R + 3 + (R+1) + 2).
+    """
+    mac, stack = scenario.mac, scenario.stack
+    senders = topo.senders()
+    datagrams = len(senders) * scenario.packets_per_source
+    fragments = max(fragment_count(payload + HEADER_BYTES, policy)
+                    for policy in POLICIES)
+    depth = max((topo.hop_distance[nid] for nid in senders), default=0)
+    jobs = datagrams * (fragments + 1) * depth
+    retries = mac.max_retransmissions
+    attempts, backoffs = retries + 1, mac.max_csma_backoffs + 1
+    backoff_us = ((1 << mac.max_be) - 1) * UNIT_BACKOFF_US
+    job_us = (attempts * (backoffs * backoff_us + CCA_DUR_US
+                          + airtime_us(MAX_FRAME_BYTES))
+              + retries * mac.ack_timeout_us)
+    draws = datagrams if scenario.serialize_sends else (
+        scenario.packets_per_source)
+    horizon = (draws * scenario.interval_us[1]
+               + jobs * (job_us + stack.proc_delay_us + mac.rx_handover_us)
+               + max(stack.reassembly_timeout_us, stack.vrb_lifetime_us) + 1)
+    job_events = attempts * (backoffs + 2) + retries
+    frame_events = 3 + attempts + 2
+    return horizon, datagrams + jobs * (job_events + frame_events)
+
+
 @contextmanager
-def bounded_instants():
+def bounded_instants(horizon, max_events):
     """Wrap Simulator.at so that a run fails once INSTANT_EVENTS events
-    fall on one instant, as a livelock's would."""
+    fall on one instant, as a livelock's would; once an event is scheduled
+    after `horizon`; or once more than `max_events` are scheduled, as a
+    loop that advances time a little on each turn would."""
     at, counts = Simulator.at, Counter()
 
     def counted_at(sim, t, fn, *args):
         counts[t] += 1
         assert counts[t] <= INSTANT_EVENTS, (
             "%d events at t=%d: %s" % (counts[t], t, fn))
+        assert t <= horizon, "event at t=%d after %d: %s" % (t, horizon, fn)
+        assert sim._seq < max_events, "over %d events: %s" % (max_events, fn)
         at(sim, t, fn, *args)
 
     with mock.patch.object(Simulator, "at", counted_at):
@@ -201,7 +271,7 @@ def simulate(work, topo, cfg):
     save_topology(topo, work / "net.txt")
     scenario = scenario_from_dict(cfg, base_dir=work)
     payload, = scenario.payloads
-    with bounded_instants():
+    with bounded_instants(*run_bounds(scenario, topo, payload)):
         record = _simulate(scenario, topo, scenario.seeds[0], payload)
     assert record.violations == []
     assert record.sent == len(topo.senders()) * scenario.packets_per_source
