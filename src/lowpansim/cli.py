@@ -1,12 +1,10 @@
 """Command line front end: topology generation, runs, aggregation."""
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from .harness import (ScenarioError, aggregate_runs, load_scenario,
-                      read_run_file, run_experiment)
+from .harness import (ScenarioError, load_scenario, read_run_file,
+                      run_experiment, write_aggregate)
 from .topology import (GenerationError, TopologyFileError, find_topology,
                        grid_office_plan, save_topology)
 
@@ -35,7 +33,7 @@ def _cmd_run(args):
                                  key=lambda kv: int(kv[0])):
         print("payload %s: %d fragment(s), mean pdr %.3f over %d run(s)"
               % (payload, entry["frag_count"], entry["pdr_mean"],
-                 agg["runs"]))
+                 len(agg["seeds"])))
     print("violations: %d" % agg["violations"])
     for path in paths:
         print(path)
@@ -43,9 +41,7 @@ def _cmd_run(args):
 
 
 def _cmd_aggregate(args):
-    agg = aggregate_runs([read_run_file(p) for p in args.runs])
-    text = json.dumps(agg, sort_keys=True, indent=1) + "\n"
-    Path(args.out).write_text(text)
+    write_aggregate([read_run_file(p) for p in args.runs], args.out)
     print(args.out)
     return 0
 

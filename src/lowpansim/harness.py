@@ -216,31 +216,31 @@ def load_scenario(path):
     return scenario_from_dict(cfg, base_dir=path.parent)
 
 
-def _plain(value):
-    """A field value as JSON data; parameter records become JSON text."""
-    if isinstance(value, (MacParams, StackParams)):
-        return json.dumps(value._asdict(), sort_keys=True)
-    return value
-
-
 def _render_value(value):
-    """A _plain field value as it appears in the [scenario] block."""
+    """A scenario field value as it appears in the [scenario] block;
+    parameter records become JSON text."""
     if value is None:
         return "none"
     if isinstance(value, bool):
         return str(value).lower()
+    if isinstance(value, (MacParams, StackParams)):
+        return json.dumps(value._asdict(), sort_keys=True)
     if isinstance(value, tuple):
         return ",".join(map(str, value))
     return str(value)
 
 
-def scenario_fingerprint(scenario, topology_sha256):
-    # The topology enters by content (its file's SHA-256), not by file name.
-    ident = {key: _plain(getattr(scenario, key)) for key, _, _ in _SCHEMA
-             if key != "topology"}
-    ident["topology_sha256"] = topology_sha256
-    blob = json.dumps(ident, sort_keys=True).encode("ascii")
-    return sha256(blob).hexdigest()
+# The [scenario] lines that identify a scenario, in file order: each key but
+# the topology's file name (its content is topology_sha256) and the seeds.
+_IDENTITY = ("topology_sha256", *(key for key, _, _ in _SCHEMA
+                                  if key not in ("topology", "seeds")))
+
+
+def scenario_fingerprint(block):
+    """The SHA-256 of a [scenario] block's _IDENTITY lines: one value for
+    every run file of a scenario.  KeyError if the block lacks one."""
+    lines = "".join("%s\t%s\n" % (key, block[key]) for key in _IDENTITY)
+    return sha256(lines.encode()).hexdigest()
 
 
 class _Rec:
@@ -261,22 +261,11 @@ NodeRow = namedtuple("NodeRow", ("node", "hop_distance", *COUNTER_FIELDS,
 Cause = namedtuple("Cause", "cause count")
 
 
-class Record:
-    """One (seed, payload) simulation, as it is written, parsed and folded."""
-
-    __slots__ = ("payload", "frag_count", "sent", "delivered", "latency",
-                 "nodes", "causes", "violations")
-
-    def __init__(self, payload, frag_count, sent, delivered, latency=None,
-                 causes=None, violations=None):
-        self.payload = payload
-        self.frag_count = frag_count
-        self.sent = sent
-        self.delivered = delivered
-        self.latency = [] if latency is None else latency      # by dgram_id
-        self.nodes = []                                        # by node id
-        self.causes = [] if causes is None else causes         # by cause
-        self.violations = [] if violations is None else violations
+class Record(namedtuple("Record", "payload frag_count sent delivered "
+                                  "latency nodes causes violations")):
+    """One (seed, payload) simulation, as it is written, parsed and folded:
+    its latency rows by dgram_id, node rows by node id, causes by cause."""
+    __slots__ = ()
 
     @property
     def pdr(self):
@@ -421,14 +410,9 @@ def _simulate(scenario, topo, seed, payload):
         else:
             violations.append("datagram %d neither delivered nor attributed"
                               % dgram_id)
-    frag_count = fragment_count(payload + HEADER_BYTES,
-                                STRATEGIES[scenario.strategy].policy)
-    result = Record(payload, frag_count, len(recs), len(latency), latency,
-                    violations=violations,
-                    causes=[Cause(*item) for item in sorted(causes.items())])
-    if result.sent != result.delivered + causes.total():
+    if len(recs) != len(latency) + causes.total():
         violations.append("loss-cause conservation broken: %d != %d + %d"
-                          % (result.sent, result.delivered, causes.total()))
+                          % (len(recs), len(latency), causes.total()))
 
     for dgram_id, stray in sorted(strays.items()):
         if stray is None:
@@ -437,9 +421,10 @@ def _simulate(scenario, topo, seed, payload):
             violations.append("datagram %d left its route: %s"
                               % (dgram_id, sorted(stray)))
 
+    rows = []
     for nid in topo.members:
         node = nodes[nid]
-        result.nodes.append(NodeRow(
+        rows.append(NodeRow(
             nid, topo.hop_distance[nid], *node.counters.as_dict().values(),
             node.arena.high_water))
         if node.arena.used != 0:
@@ -451,7 +436,11 @@ def _simulate(scenario, topo, seed, payload):
             violations.append("node %d still holds datagram tags" % nid)
         if node.jobs or node.mac.queue or node.mac.current:
             violations.append("node %d still holds frames" % nid)
-    return result
+    frag_count = fragment_count(payload + HEADER_BYTES,
+                                STRATEGIES[scenario.strategy].policy)
+    return Record(payload, frag_count, len(recs), len(latency), latency, rows,
+                  [Cause(*item) for item in sorted(causes.items())],
+                  violations)
 
 
 def _profiled():
@@ -505,16 +494,18 @@ def run_one(scenario, topo, jobs=None):
             for seed in scenario.seeds}
 
 
-def _scenario_block(scenario, fingerprint, topo_sha, run_index, seed):
-    """The [scenario] block of one run file, as key -> text."""
-    block = {"fingerprint": fingerprint}
-    # Facts of this file follow the key they qualify.
-    after = {"topology": {"topology_sha256": topo_sha},
-             "seeds": {"run_index": str(run_index), "seed": str(seed)}}
+def _scenario_block(scenario, topo_sha, seed):
+    """`seed`'s [scenario] block, as key -> text: the fingerprint, then each
+    _SCHEMA key, with the topology's digest after it and `seed` for seeds."""
+    block = {}
     for key, _, _ in _SCHEMA:
-        block[key] = _render_value(_plain(getattr(scenario, key)))
-        block.update(after.get(key, {}))
-    return block
+        if key == "seeds":
+            block["seed"] = str(seed)
+        else:
+            block[key] = _render_value(getattr(scenario, key))
+        if key == "topology":
+            block["topology_sha256"] = topo_sha
+    return {"fingerprint": scenario_fingerprint(block), **block}
 
 
 def _render_run(run):
@@ -544,19 +535,16 @@ def run_experiment(scenario, outdir, jobs=None):
         raise ScenarioError("topology %s has no sender: every member is the "
                             "sink or one hop from it" % topo_path)
     topo_sha = sha256(topo_path.read_bytes()).hexdigest()
-    fingerprint = scenario_fingerprint(scenario, topo_sha)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results = run_one(scenario, topo, jobs)
-    runs = [Run(_scenario_block(scenario, fingerprint, topo_sha, i, seed),
-                results[seed]) for i, seed in enumerate(scenario.seeds)]
+    runs = [Run(_scenario_block(scenario, topo_sha, seed), results[seed])
+            for seed in scenario.seeds]
     paths = [outdir / ("run-%02d.txt" % i) for i in range(len(runs))]
     for run, path in zip(runs, paths):
         path.write_text(_render_run(run))
-    agg = aggregate_runs(runs)
     agg_path = outdir / "aggregate.json"
-    agg_path.write_text(json.dumps(agg, sort_keys=True, indent=1) + "\n")
-    return paths + [agg_path], agg
+    return paths + [agg_path], write_aggregate(runs, agg_path)
 
 
 def read_run_file(path):
@@ -571,14 +559,19 @@ def _parse_run(text):
     head, *parts = re.split(r"^\[(\w+)\]\n", text, flags=re.MULTILINE)
     if head != "metrics v1\n":
         raise ScenarioError("no 'metrics v1' header")
+    names = parts[::2]
+    for name in names:
+        if names.count(name) > 1:
+            raise ScenarioError("[%s] given twice" % name)
     sections = {name: [line for line in body.split("\n") if line]
-                for name, body in zip(parts[::2], parts[1::2])}
+                for name, body in zip(names, parts[1::2])}
     block = dict(line.split("\t", 1) for line in sections.get("scenario", ()))
-    needed = ("fingerprint", "strategy", "topology_sha256", "seed",
-              "run_index")
-    if not set(needed) <= set(block):
-        raise ScenarioError("[scenario] needs %s" % ", ".join(needed))
-    int(block["seed"])              # raises ValueError unless an integer
+    try:
+        if block["fingerprint"] != scenario_fingerprint(block):
+            raise ScenarioError("[scenario] does not match its fingerprint")
+        int(block["seed"])          # raises ValueError unless an integer
+    except KeyError as err:
+        raise ScenarioError("[scenario] has no %s line" % err) from None
     records = {}
     for section, lead, rows, row_type in _TABLES:
         columns = lead + (row_type._fields if rows else ())
@@ -594,7 +587,7 @@ def _parse_run(text):
             values = [_CELL_TYPES.get(name, _int_cell)(cell)
                       for name, cell in zip(columns, cells)]
             if rows is None:            # pdr is derived, so only checked
-                r = Record(**dict(zip(lead[:-1], values)))
+                r = Record(*values[:-1], [], [], [], [])
                 if (r.sent < 1 or not 0 <= r.delivered <= r.sent
                         or r.pdr != values[-1]
                         or records.setdefault(r.payload, r) is not r):
@@ -615,6 +608,10 @@ def _parse_run(text):
         raise ScenarioError("[invariants] must open with the violation count")
     if not records or not all(r.nodes for r in records.values()):
         raise ScenarioError("every payload needs a summary row and node rows")
+    for r in records.values():
+        if len(r.latency) != r.delivered:
+            raise ScenarioError("payload %d: %d latency rows, %d delivered"
+                                % (r.payload, len(r.latency), r.delivered))
     return Run(block, list(records.values()))
 
 
@@ -661,11 +658,11 @@ def aggregate_runs(runs):
     if len(fingerprints) != 1:
         raise ScenarioError("refusing to aggregate mixed scenarios: %s"
                             % sorted(fingerprints))
-    indices = Counter(run.block["run_index"] for run in runs)
-    repeated = sorted(i for i, n in indices.items() if n > 1)
+    seeds = [int(run.block["seed"]) for run in runs]
+    repeated = sorted(s for s, n in Counter(seeds).items() if n > 1)
     if repeated:
-        raise ScenarioError("refusing to count a run twice: run_index %s "
-                            "given more than once" % ", ".join(repeated))
+        raise ScenarioError("refusing to count a run twice: seed %s given "
+                            "more than once" % ", ".join(map(str, repeated)))
     block = runs[0].block
 
     # JSON keys stay strings, so that sort_keys orders "12" before "2".
@@ -724,8 +721,7 @@ def aggregate_runs(runs):
         "fingerprint": block["fingerprint"],
         "strategy": block["strategy"],
         "topology_sha256": block["topology_sha256"],
-        "runs": len(runs),
-        "seeds": [int(run.block["seed"]) for run in runs],
+        "seeds": seeds,
         "per_payload": per_payload,
         "latency_by_hops": {k: _stats(v)
                             for k, v in sorted(lat_by_hops.items())},
@@ -738,3 +734,10 @@ def aggregate_runs(runs):
         "rbuf": rbuf,
         "violations": violations,
     }
+
+
+def write_aggregate(runs, path):
+    """Fold `runs` into aggregate.json at `path`; returns the fold."""
+    agg = aggregate_runs(runs)
+    Path(path).write_text(json.dumps(agg, sort_keys=True, indent=1) + "\n")
+    return agg

@@ -130,12 +130,23 @@ def test_malformed_run_files_exit_2(tmp_path, capsys):
             good, "latency", "latency_us", "9" * 400),
         "huge_counter.txt": _edit_first_row(
             good, "node_counters", "l2_retransmissions", "9" * 400),
+        # No longer the scenario its fingerprint names.
+        "edited_strategy.txt": good.replace("\nstrategy\tHWR\n",
+                                            "\nstrategy\tFF\n"),
     }
     lines = good.split("\n")
     row = lines.index("[latency]") + 2          # first latency row
     assert lines[row].startswith("80\t")
     lines[row] = "176" + lines[row][2:]
     bad["orphan_row.txt"] = "\n".join(lines)    # payload 176 has no summary
+    # One latency row fewer than the datagrams delivered.
+    del lines[row]
+    bad["short_latency.txt"] = "\n".join(lines)
+    # A repeated section, which would replace the first: an empty second
+    # [latency] erasing every latency row, and [node_counters] given twice.
+    bad["empty_latency.txt"] = "%s[latency]\n%s\n" % (good, lines[row - 1])
+    bad["counters_twice.txt"] = good + good[good.index("[node_counters]"):
+                                            good.index("[loss_causes]")]
     bad = {name: text.encode() for name, text in bad.items()}
     bad["latin1.txt"] = good.replace("HWR", "H\xe9R").encode("latin-1")
     for name, data in bad.items():
@@ -306,7 +317,7 @@ def test_aggregate_refuses_a_run_file_given_twice(tmp_path, capsys):
     capsys.readouterr()
     assert main(["aggregate", "--out", str(agg), run0, run0]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "run_index 0" in err
+    assert err.startswith("error: ") and "seed 1" in err
     assert len(err.splitlines()) == 1 and not agg.exists()
 
 
@@ -324,13 +335,34 @@ def test_aggregate_reports_the_seeds_of_the_files_it_folds(tmp_path, capsys):
         assert main(["aggregate", "--out", str(out), *files]) == 0
         return json.loads(out.read_text())
     one = aggregate(run1)
-    assert one["runs"] == 1 and one["seeds"] == [2]
+    assert len(one["seeds"]) == 1 and one["seeds"] == [2]
     pdr = {run: aggregate(run)["per_payload"]["80"]["pdr"]
            for run in (run0, run1)}
     assert pdr[run0] != pdr[run1]            # so the order shows
     both = aggregate(run1, run0)
-    assert both["runs"] == 2 and both["seeds"] == [2, 1]
+    assert len(both["seeds"]) == 2 and both["seeds"] == [2, 1]
     assert both["per_payload"]["80"]["pdr"] == pdr[run1] + pdr[run0]
+
+
+def test_aggregate_folds_invocations_with_different_seeds(tmp_path):
+    # A run file is its scenario's fingerprint and its own seed: the files
+    # of seeds [1, 2] and [3] fold into the aggregate.json of one run of
+    # [1, 2, 3], and seed 1's file is the same in both invocations.
+    out = {}
+    for seeds in ([1, 2], [3], [1, 2, 3]):
+        scn = write_scenario(tmp_path, line_topology(5), seeds=seeds,
+                             force_link_pdr=0.6)
+        out[tuple(seeds)] = tmp_path / "-".join(map(str, seeds))
+        assert main(["run", "--scenario", str(scn), "--out",
+                     str(out[tuple(seeds)])]) == 0
+    files = [out[1, 2] / "run-00.txt", out[1, 2] / "run-01.txt",
+             out[(3,)] / "run-00.txt"]
+    agg = tmp_path / "agg.json"
+    assert main(["aggregate", "--out", str(agg), *map(str, files)]) == 0
+    assert json.loads(agg.read_text())["seeds"] == [1, 2, 3]
+    assert agg.read_bytes() == (out[1, 2, 3] / "aggregate.json").read_bytes()
+    assert ((out[1, 2] / "run-00.txt").read_bytes()
+            == (out[1, 2, 3] / "run-00.txt").read_bytes())
 
 
 # -- the whole scenario schema --------------------------------------------

@@ -8,10 +8,10 @@ their failure paths.  test_a11 only compares two runs of one commit; this
 test also catches drift between commits.  A change that alters behaviour
 or the run-file format on purpose replaces the digests below with the
 ones the failure message prints and says why.  They last changed with the
-format alone: the frame model became fixed, so the [scenario] block's
-`mac` cell lost `l2_overhead` and its `stack` cell lost
-`comp_header_bytes`, which changes the `fingerprint` line of every run
-file and aggregate.json.  Every other line and every event count below
+format alone: a run file became its scenario's fingerprint and its own
+seed, so the [scenario] block lost its `seeds` and `run_index` lines, the
+fingerprint became the SHA-256 of the block's identifying lines, and
+aggregate.json lost `runs`.  Every other line and every event count below
 stayed as it was.
 
 Each (setting, strategy) also pins the number of events its simulations
@@ -63,75 +63,75 @@ SETTINGS = {
 GOLDEN = {
     ("edges", "HWR"): {
         "aggregate.json":
-            "852b0486104ff7a910c1415e5e78bc8cb9eb2f8427ac17a1e47270683781e228",
+            "3eb8a2e03e75d79eec79b65485fe5692104e07e246db4f3f485495acb5a41fc5",
         "run-00.txt":
-            "fa011668d1f92c6cd51f1e16b89862d63bb8e1cb1a1e3ba043b2a7791d96ed94",
+            "5a5ec2f1ee0eae9cf3a0de27b3af198e4e497e8a4c4edcd7b4bee8edbbc98dd9",
         "run-01.txt":
-            "fb43e5b3cf31a9484e91676972cd50e74817bdcd6912774223b74ed5a86c3dc1",
+            "aac161785bd8866817cd8673015a78a478b99a25f0d9ab392831d9e884abd361",
     },
     ("edges", "FF"): {
         "aggregate.json":
-            "3135f8e29b8cdb8e52d76be6b146a141c15ae7a0ef1617e3c4ad329f6c77928c",
+            "a6e0a9cdcd9deaddcd33a8043c43b5cf3dd7093395b29545ecfa5f3eacc86cc6",
         "run-00.txt":
-            "394e312cab3dd2ec9d5350604fb8adb425319be06a760704ab762df9a98cf10a",
+            "ecd190e6e4d7d5bdba9609e16cd3839fac50a35913d64cb2c907d27279e93289",
         "run-01.txt":
-            "e05028b4b6a6e8b4de3179dd6e590c79aef55207756cc7f3862d523fe8a7fdf6",
+            "eb289024c1fb0553cfd5aaeeeb66504e5b8ebe34dc533fc7752383712725e614",
     },
     ("edges", "FF_QUEUED"): {
         "aggregate.json":
-            "56e533ece2b73694d54cfac7fa3c469186dc292323d628ca4e98ea47891d80bd",
+            "3315d15923db382d104e8f25b8d54b6e1699f3b2725b7bc0d73428dec6df88af",
         "run-00.txt":
-            "34910e7dff68b3bf90f251cdcdf6c2b05760d7a568317fbd6ef4b6fe63c0d50b",
+            "1dba7ed7da0d41a59206f9bbf3083003b584ced605a88f848536d0c3fc70819f",
         "run-01.txt":
-            "645208b16a87c9e34bfd7c275c984034c0583ff1bf63fb6f86a5ff71f78e941f",
+            "aa4880e519af6f7748693a0dddc17a49ed4b7d5123b09702bd14ffc9f245dc48",
     },
     ("lossless", "HWR"): {
         "aggregate.json":
-            "34bd96365403d769f191fd7f2d43b7f7af44944801eb89f10895cad4ffab08c8",
+            "d4e3c49b001c8bbc77c6104a89de98e8c65c5d45d946b365c5d824afba4d3a69",
         "run-00.txt":
-            "2b781ad1d09db9b24df5bea6fd3f5d6c0b4debb43428033a60b3eae2aa6b3193",
+            "b375c9ce32fd7c40cb6691a219dccbb6027f0f7ab87fc9dff201dea70cd0cb54",
         "run-01.txt":
-            "dccdbddd9ad486b4dbfabcbb05f1ace1b4d08fff2020de3d6ac2183ec39892e0",
+            "b977db68ce92d13e8e653e644c057601b86f241ebbb9072f97c45fe515c2075f",
     },
     ("lossless", "FF"): {
         "aggregate.json":
-            "e4e2e50535b6a410d75e6bdd204d43eeb8276d599d9ac1ac321114e9021a0d1f",
+            "6f97faac7ac6d909fe04eca32ed1987241eade9e8a9abaff7efdaac75ef5bddb",
         "run-00.txt":
-            "a74d39a7f8b1be9c9ca4576c20e3aadb859935ea7a99a5096e86a459331fc09d",
+            "c4b7bba5d4736256cdb90257c331f5199cbf659fda3023f50104e46a57908847",
         "run-01.txt":
-            "342f17c0d0ee5791dc79c89c33ebe53ab871992983ce4272d32d1f640bf32fb2",
+            "644f185979a6a5ba6731dd5688a69c313c7710f26d61a10896342b32317ad498",
     },
     ("lossless", "FF_QUEUED"): {
         "aggregate.json":
-            "5ce9a2f8e50f36af5e3c9dafb86106ee5aa7c38d4028c979fa6f89210001406a",
+            "111be533a2df59cfb99421802274a02544d57b8b492f324f9a70e2ce474a718f",
         "run-00.txt":
-            "3904af82c655d9515c18edb4c64a517722cf913ee77e66e9a55a3a9d458cb789",
+            "3b7a6322d3c4d882e7dd1bf205fbce2ef18285e1c3b035674bc2821b9e76db04",
         "run-01.txt":
-            "fc9af4a1b2f8add2cc37d795564a7d7ce7685d774c97a23c6e8f502d2307f3df",
+            "4869deb1da150cd43adc2d9b9967a723d9c389f30aec6d06b7a699482c7369d3",
     },
     ("lossy", "HWR"): {
         "aggregate.json":
-            "9b284da799c95850dd9d9769bb903b14a1206bf0c93a4d820dbad549352b0980",
+            "25d3a00d3721ffbdb24a503fdf06b4e01eebc5a3be7aecbf18e205a8df0c4818",
         "run-00.txt":
-            "89ddd432c5e903ac81e8d624f7dd23f2306415533ae431a4a549356798dd9b52",
+            "4fccc4d84d1c7943e489c01ea96023c5e24feaa199db8381e6adb43100e1e705",
         "run-01.txt":
-            "9fe48505189d6196585b331a4f4fad2c193492e3b72f7f4cdcebaa0f6f0e3a57",
+            "9f6bb7fc282481c47feb680d48a30a9395ecaec0ba664bd3bb41ffd49c9bfdd3",
     },
     ("lossy", "FF"): {
         "aggregate.json":
-            "5deda98ddab94a500b9647290bc603f6cb1cd5d81ca9fd6c384945021926639a",
+            "6ecb9e9af283752a2b19522384b916edaf2810be9e1c1caf5c4d7e1d81ea3ae7",
         "run-00.txt":
-            "2c3a421439165c29c0e5ed82f2e77504fc50e6f98e6f2514c07c796ef9f15ef1",
+            "d5ceeb7fe607520b02cc6a62dc89cc68d6024f2be9851baf45e3e7bc86653629",
         "run-01.txt":
-            "43af70d04e4fc464a6dad08980e73f6e34e7aa5821c00e7dfd58812e7ae1b7bf",
+            "384169bb3dc643e0a56e6f1b9cf2d0d23d114b6a59e964f6cfa28ca08d17e300",
     },
     ("lossy", "FF_QUEUED"): {
         "aggregate.json":
-            "0595eb89bec74aca40f0ea82902a67fb631972759fb093d307bb5a1f81576765",
+            "74d109a016c96641af382ce4e7f413f73cf592041bc8afad10392f7e813fe748",
         "run-00.txt":
-            "660ccf7d21d0be18722e4c14ee0218a3d053552d61aae4967d0e4b6a9ab19aa0",
+            "9539e39f69a68bf12f50493ff27092ac5d96d953bb935bae178580823ef2af56",
         "run-01.txt":
-            "5bbc4075c07528f7d7c5f2ff10e24fd713230b167e65e595e4f98a48733984a8",
+            "68072d7e7165a865990f37c3ccedbe4a32aece613640b823f16c5ffc3ba9a9ab",
     },
 }
 

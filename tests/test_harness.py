@@ -126,15 +126,16 @@ def test_every_scenario_key_changes_fingerprint_and_run_file(tmp_path):
     def identity(**over):
         scn = load_scenario(write_scenario(tmp_path, line_topology(4), **over))
         topo_sha = hashlib.sha256(scn.topology_path().read_bytes()).hexdigest()
-        fingerprint = scenario_fingerprint(scn, topo_sha)
-        text = _render_run(Run(_scenario_block(scn, fingerprint, topo_sha,
-                                               0, 1), []))
-        return fingerprint, text[:text.index("[summary]")]
+        block = _scenario_block(scn, topo_sha, scn.seeds[0])
+        text = _render_run(Run(block, []))
+        return scenario_fingerprint(block), text[:text.index("[summary]")]
 
+    # Every key but seeds identifies the scenario.  A run file holds one
+    # seed, so seeds changes it through its seed line alone.
     base = identity()
     for key, value in changes:
         fingerprint, block = identity(**{key: value})
-        assert fingerprint != base[0], (key, value)
+        assert (fingerprint != base[0]) == (key != "seeds"), (key, value)
         assert block != base[1], (key, value)
 
 
@@ -559,7 +560,7 @@ def test_aggregate_single_run_equals_that_run(tmp_path):
     files, _ = run_experiment(scn, tmp_path / "out")
     runs = [p for p in files if p.name.startswith("run-")]
     agg = aggregate_runs([read_run_file(p) for p in runs])
-    assert agg["runs"] == 1
+    assert len(agg["seeds"]) == 1
     assert agg["per_payload"]["80"]["pdr"] == [1.0]
     assert agg["per_payload"]["80"]["pdr_mean"] == 1.0
 
@@ -595,10 +596,10 @@ def test_digests_are_hashlib_sha256(tmp_path, monkeypatch):
     block = read_run_file(files[0]).block
     topo_sha = hashlib.sha256(scn.topology_path().read_bytes()).hexdigest()
     assert block["topology_sha256"] == topo_sha
-    fingerprint = scenario_fingerprint(scn, topo_sha)
+    fingerprint = scenario_fingerprint(block)
     monkeypatch.setattr(harness, "sha256", hashlib.sha256)
     assert block["fingerprint"] == fingerprint == scenario_fingerprint(
-        scn, topo_sha)
+        block)
 
 
 _PDR = st.integers(1, 10 ** 4).flatmap(
